@@ -117,8 +117,7 @@ def _kgrid(spec, c: Coupling, p: FieldProfile):
 
 def _integrator(spec) -> IntegratorConfig:
     spec = spec or {}
-    return IntegratorConfig(step=spec.get("step"),
-                            refinement_factor=int(spec.get("refinement_factor", 2)))
+    return IntegratorConfig(step=spec.get("step"))
 
 
 def _stepper(spec) -> StepperConfig:

@@ -223,14 +223,6 @@ def make_profile(
                         boundary_tol=boundary_tol).validate()
 
 
-def profile_from_grid(x0: float, h: float, values, asymptotics,
-                      boundary_tol: float = 1e-8) -> FieldProfile:
-    """Profile on an explicit uniform grid starting at x0 (used for PDE
-    snapshots whose grid is periodic and stops one spacing short)."""
-    return FieldProfile(L=-x0, h=h, values=np.asarray(values, dtype=np.complex128),
-                        asymptotics=asymptotics, boundary_tol=boundary_tol)
-
-
 @dataclass(frozen=True)
 class KGrid:
     """Sorted real spectral samples, with the forbidden gap (if any) recorded."""
@@ -414,8 +406,7 @@ class ScatteringData:
 
 @dataclass(frozen=True)
 class QuenchReport:
-    """Scattering data of one field at two couplings, plus the post-quench
-    soliton inventory and the radiative reflection samples."""
+    """Scattering data of one field at two couplings."""
 
     pre: ScatteringData
     post: ScatteringData
@@ -423,14 +414,6 @@ class QuenchReport:
     def __post_init__(self):
         if not np.array_equal(self.pre.kgrid.samples, self.post.kgrid.samples):
             raise NlsQuenchError("pre and post data must share one spectral grid")
-
-    @property
-    def soliton_inventory(self) -> Tuple[DiscreteEigenvalue, ...]:
-        return self.post.discrete
-
-    @property
-    def radiative(self) -> np.ndarray:
-        return self.post.reflection_samples()
 
     def to_json_dict(self):
         return {"pre": self.pre.to_json_dict(), "post": self.post.to_json_dict()}

@@ -33,7 +33,8 @@ from .zsdirect import (
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
     IntegratorDiverged,
-    _working_samples,
+    _column_passes,
+    _propagate,
     find_zeros,
     default_zero_region,
     scatter_grid,
@@ -88,60 +89,23 @@ class DarbouxStep:
         )
 
 
-def _columns_full(p: FieldProfile, c: Coupling, k0: complex,
-                  cfg: IntegratorConfig, need_left: bool = True):
+def _columns_full(p: FieldProfile, c: Coupling, k0: complex, cfg: IntegratorConfig):
     """Gauge-removed Jost columns R (grown from the left) and L (from the
     right) on the whole working grid, each integrated in its decaying
-    direction.  need_left=False skips L (removals only use R)."""
+    direction (see zsdirect._column_passes)."""
     if not isinstance(p.asymptotics, Schwartz):
         raise NlsQuenchError("dressing needs a rapidly decreasing profile")
-    from .zsdirect import _support_bounds
 
-    xs, qn, qm, h = _working_samples(p, cfg)
+    xs, j_lo, j_hi, rise, fall = _column_passes(p, c, k0, cfg, meet=False)
     n = len(xs)
-    m = cfg.substeps(p.h)
-    lo, hi = _support_bounds(p)
-    j_lo, j_hi = lo * m, hi * m
-    cv = c.value
-    d1n, d2n = cv * qn, cv * np.conj(qn)
-    d1m, d2m = cv * qm, cv * np.conj(qm)
-    tik = 2j * k0
-
-    def f(a1, a2, u1, u2):
-        return a1 * u2, tik * u2 + a2 * u1
-
-    def g(a1, a2, u1, u2):
-        return -tik * u1 + a1 * u2, a2 * u1
-
-    # columns stay on their plane-wave seeds outside the field's support
     R = np.empty((n, 2), dtype=np.complex128)
-    r1, r2 = 1.0 + 0.0j, 0.0 + 0.0j
-    R[: j_lo + 1] = (r1, r2)
-    for j in range(j_lo, n - 1):
-        f11, f12 = f(d1n[j], d2n[j], r1, r2)
-        f21, f22 = f(d1m[j], d2m[j], r1 + h / 2 * f11, r2 + h / 2 * f12)
-        f31, f32 = f(d1m[j], d2m[j], r1 + h / 2 * f21, r2 + h / 2 * f22)
-        f41, f42 = f(d1n[j + 1], d2n[j + 1], r1 + h * f31, r2 + h * f32)
-        r1 = r1 + h / 6 * (f11 + 2 * f21 + 2 * f31 + f41)
-        r2 = r2 + h / 6 * (f12 + 2 * f22 + 2 * f32 + f42)
-        R[j + 1] = (r1, r2)
-
-    if not need_left:
-        if not np.isfinite(R).all():
-            raise IntegratorDiverged("Jost column integration diverged")
-        return xs, R, None
-
     Lc = np.empty((n, 2), dtype=np.complex128)
-    l1, l2 = 0.0 + 0.0j, 1.0 + 0.0j
-    Lc[j_hi:] = (l1, l2)
-    for j in range(j_hi, 0, -1):
-        f11, f12 = g(d1n[j], d2n[j], l1, l2)
-        f21, f22 = g(d1m[j - 1], d2m[j - 1], l1 - h / 2 * f11, l2 - h / 2 * f12)
-        f31, f32 = g(d1m[j - 1], d2m[j - 1], l1 - h / 2 * f21, l2 - h / 2 * f22)
-        f41, f42 = g(d1n[j - 1], d2n[j - 1], l1 - h * f31, l2 - h * f32)
-        l1 = l1 - h / 6 * (f11 + 2 * f21 + 2 * f31 + f41)
-        l2 = l2 - h / 6 * (f12 + 2 * f22 + 2 * f32 + f42)
-        Lc[j - 1] = (l1, l2)
+    R[:j_lo] = (1.0, 0.0)
+    Lc[j_hi:] = (0.0, 1.0)
+    _, traj = _propagate(rise, n - 1 - j_lo, 1, record=np.arange(n - j_lo))
+    R[j_lo:] = traj[:, 0, :, 0]
+    _, traj = _propagate(fall, j_hi, 1, record=np.arange(j_hi + 1))
+    Lc[j_hi::-1] = traj[:, 0, ::-1, 0]  # (L2, L1) from node j_hi down
 
     if not (np.isfinite(R).all() and np.isfinite(Lc).all()):
         raise IntegratorDiverged("Jost column integration diverged")

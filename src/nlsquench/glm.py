@@ -157,17 +157,13 @@ def _born_scale(rd: RadiativeData) -> complex:
     return -2.0 / rd.coupling.value
 
 
-def glm_neumann(rd: RadiativeData, c0: Coupling, x: float,
-                cfg: ResolventConfig = DEFAULT_RESOLVENT, t: float = 0.0) -> complex:
-    """q(x, t) by the iterated-kernel sum, term by term.
+def _neumann_sum(op: _DiscretizedKernel, scale: complex, cfg: ResolventConfig) -> complex:
+    """Iterated-kernel sum at the kernel's current x, term by term.
 
-    Raises SeriesDiverging as soon as a term stops shrinking; stops early
+    Raises SeriesDiverging as soon as the terms keep growing; stops early
     once terms fall below term_stop relative to the leading one.
     """
-    rd = RadiativeData(kgrid=rd.kgrid, rho=rd.rho, coupling=c0)
-    op = _DiscretizedKernel(rd, t, cfg).at_x(x)
-    h = np.ones(rd.kgrid.n, dtype=np.complex128)
-    scale = _born_scale(rd)
+    h = np.ones(len(op.k), dtype=np.complex128)
     # absolute round-off floor of one closing quadrature; terms at or below
     # it carry no information and must not trip the divergence detector
     noise = 1e-14 * abs(scale) * float(np.sum(np.abs(op.quad)))
@@ -185,10 +181,12 @@ def glm_neumann(rd: RadiativeData, c0: Coupling, x: float,
         if mag <= max(cfg.term_stop * lead, noise):
             break
         if prev is not None and mag >= prev:
-            # a single non-decreasing step can be an oscillation null of
-            # the previous term; sustained growth is the divergence signal
+            # a non-decreasing step can follow an oscillation null of the
+            # previous term, and where the field is small the first iterates
+            # can rise for two orders before they decay; growth sustained
+            # over three orders is the divergence signal
             growth += 1
-            if growth >= 2:
+            if growth >= 3:
                 raise SeriesDiverging(
                     f"iterated-kernel terms grow (ratio {mag / prev:.3f} at order {n})"
                 )
@@ -197,6 +195,15 @@ def glm_neumann(rd: RadiativeData, c0: Coupling, x: float,
         prev = mag
         h = op.apply(h)
     return complex(total)
+
+
+def glm_neumann(rd: RadiativeData, c0: Coupling, x: float,
+                cfg: ResolventConfig = DEFAULT_RESOLVENT, t: float = 0.0) -> complex:
+    """q(x, t) by the iterated-kernel sum (see _neumann_sum for its
+    stopping and divergence rules)."""
+    rd = RadiativeData(kgrid=rd.kgrid, rho=rd.rho, coupling=c0)
+    op = _DiscretizedKernel(rd, t, cfg).at_x(x)
+    return _neumann_sum(op, _born_scale(rd), cfg)
 
 
 def rosales_resummed(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0,
@@ -217,7 +224,8 @@ def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
                       boundary_tol: float = 1e-2, method: str = "resolvent") -> FieldProfile:
     """Radiative field on a symmetric grid, solving the dressed kernel at
     every sample point (the kernel matrices are x-independent and reused).
-    method="neumann" sums the iterated kernel instead of solving densely."""
+    method="neumann" sums the iterated kernel instead of solving densely,
+    under the stopping and divergence rules of glm_neumann."""
     if method not in ("resolvent", "neumann"):
         raise NlsQuenchError("method must be 'resolvent' or 'neumann'")
     xgrid = np.asarray(xgrid, dtype=float)
@@ -237,15 +245,7 @@ def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
                 raise SingularResolvent(str(exc)) from exc
             vals[i] = scale * op.close(h)
         else:
-            h = ones
-            total = 0.0 + 0.0j
-            for _ in range(cfg.neumann_terms + 1):
-                term = scale * op.close(h)
-                total += term
-                if abs(term) <= cfg.term_stop * max(abs(total), 1e-300):
-                    break
-                h = op.apply(h)
-            vals[i] = total
+            vals[i] = _neumann_sum(op, scale, cfg)
     return FieldProfile(L=-float(xgrid[0]), h=float(xgrid[1] - xgrid[0]),
                         values=vals, asymptotics=Schwartz(),
                         boundary_tol=boundary_tol).validate()

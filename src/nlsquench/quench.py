@@ -24,9 +24,20 @@ from .core import (
 )
 from .closedforms import predicted_zero_count
 from .zsdirect import (
+    _EYE,
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
     IntegratorDiverged,
+    _adjoint,
+    _as_array,
+    _mul,
+    _oscillating_steps,
+    _phased,
+    _propagate,
+    _rk4_matrix,
+    _rows,
+    _scan,
+    _stages,
     _working_samples,
     scatter_grid,
     scattering_batch,
@@ -159,65 +170,45 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     nk = len(k)
     xs, q_nodes, q_mids, h = _working_samples(p, cfg)
     n = len(xs)
-    dc = c_new.value - c.value
+    cv = c.value
+    dc = c_new.value - cv
     if keep is None:
         keep = np.arange(n)
-    keep = np.asarray(keep, dtype=int)
-    slot = {int(j): i for i, j in enumerate(keep)}
-
-    x_all = np.empty(2 * n - 1)
-    x_all[::2] = xs
-    x_all[1::2] = 0.5 * (xs[:-1] + xs[1:])
-    ph = np.exp(2j * np.outer(x_all, k))
-    q_all = np.empty(2 * n - 1, dtype=np.complex128)
-    q_all[::2] = q_nodes
-    q_all[1::2] = q_mids
-
-    def u_hat(idx):
-        """e^{ik sigma3 x} [[0, q], [q*, 0]] e^{-ik sigma3 x} at x_all[idx]."""
-        g = np.zeros((nk, 2, 2), dtype=np.complex128)
-        g[:, 0, 1] = q_all[idx] * ph[idx]
-        g[:, 1, 0] = np.conj(q_all[idx]) * np.conj(ph[idx])
-        return g
-
-    eye = np.broadcast_to(np.eye(2, dtype=np.complex128), (nk, 2, 2)).copy()
-    phi = eye.copy()
-    theta = eye.copy()
-    phi_out = np.empty((len(keep), nk, 2, 2), dtype=np.complex128)
-    theta_out = np.empty_like(phi_out)
-
-    if direction > 0:
-        order = range(0, n - 1)
-        start = 0
-    else:
-        order = range(n - 1, 0, -1)
-        start = n - 1
-    if start in slot:
-        phi_out[slot[start]] = phi
-        theta_out[slot[start]] = theta
+    start = 0 if direction > 0 else n - 1
+    record = np.abs(np.asarray(keep, dtype=int) - start)  # steps to each kept node
     s = direction * h
+    u = np.exp(1j * k * s)  # stage phases are 1, u, u^2 relative to the step start
 
-    def rhs(uh, phi_v, theta_v):
-        dphi = (c.value * uh) @ phi_v
-        gen = dc * (np.conj(np.transpose(phi_v, (0, 2, 1))) @ uh @ phi_v)
-        return dphi, gen @ theta_v
+    phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE)
+    phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
+    phi_out[record == 0] = np.eye(2)
 
-    for j in order:
-        i0 = 2 * j
-        im = 2 * j + direction
-        i1 = 2 * j + 2 * direction
-        u0, um, u1 = u_hat(i0), u_hat(im), u_hat(i1)
-        p1, t1 = rhs(u0, phi, theta)
-        p2, t2 = rhs(um, phi + 0.5 * s * p1, theta + 0.5 * s * t1)
-        p3, t3 = rhs(um, phi + 0.5 * s * p2, theta + 0.5 * s * t2)
-        p4, t4 = rhs(u1, phi + s * p3, theta + s * t3)
-        phi = phi + (s / 6.0) * (p1 + 2 * p2 + 2 * p3 + p4)
-        theta = theta + (s / 6.0) * (t1 + 2 * t2 + 2 * t3 + t4)
-        target = j + direction
-        if target in slot:
-            phi_out[slot[target]] = phi
-            theta_out[slot[target]] = theta
-    if not (np.isfinite(phi).all() and np.isfinite(theta).all()):
+    def build(i0, i1):
+        """Theta's step matrices; Phi is carried along chunk by chunk."""
+        nonlocal phi
+        q = _stages(q_nodes, q_mids, start, direction, i0, i1)
+        e = np.exp(2j * np.multiply.outer(xs[start + direction * np.arange(i0, i1)], k))
+        steps = _oscillating_steps([cv * v for v in q], [cv * np.conj(v) for v in q], u, s)
+        states = _mul(_scan(np.broadcast_arrays(*_phased(steps, e))), phi)
+        hit = (record > i0) & (record <= i1)
+        phi_out[hit] = _as_array(_rows(states, record[hit] - i0 - 1))
+        phi_j = tuple(np.concatenate([y[None], v[:-1]]) for y, v in zip(phi, states))
+        phi = _rows(states, -1)
+        # the RK4 stage values of Phi are X_i Phi_j, and Theta's stage
+        # generators are (c' - c) (X_i Phi_j)^dag Uhat_i (X_i Phi_j), with
+        # Uhat = [[0, alpha], [alpha*, 0]] at the four stage points
+        psi = phi_j
+        gens = []
+        for i, frac in zip((0, 1, 1, 2), (0.5, 0.5, 1.0, None)):
+            a = q[i][:, None] * e * (1.0, u, u * u)[i]
+            up = (a * psi[2], a * psi[3], np.conj(a) * psi[0], np.conj(a) * psi[1])
+            gens.append(tuple(dc * g for g in _mul(_adjoint(psi), up)))
+            if frac is not None:
+                psi = tuple(y + (frac * s * cv) * v for y, v in zip(phi_j, up))
+        return _rk4_matrix(gens, s)
+
+    theta, theta_out = _propagate(build, n - 1, nk, record=record)
+    if not all(np.isfinite(e).all() for e in phi + theta):
         raise IntegratorDiverged("dressing integration produced non-finite values")
     return xs, phi_out, theta_out
 
@@ -272,21 +263,16 @@ def verify_factorization(p: FieldProfile, c: Coupling, c_new: Coupling,
     # record Theta only at the sample nodes and the two grid ends
     xs_probe, _, _, _ = _working_samples(p, cfg)
     idx = np.array([int(np.argmin(np.abs(xs_probe - xv))) for xv in x_samples])
-    keep = np.unique(np.concatenate([idx, [0, len(xs_probe) - 1]]))
-    pos = {int(j): i for i, j in enumerate(keep)}
-    xs, _, th_minus = _theta_pass(p, c, c_new, k, cfg, direction=+1, keep=keep)
+    keep = np.concatenate([idx, [0, len(xs_probe) - 1]])
+    _, _, th_minus = _theta_pass(p, c, c_new, k, cfg, direction=+1, keep=keep)
     _, _, th_plus = _theta_pass(p, c, c_new, k, cfg, direction=-1, keep=keep)
 
-    per_x = np.empty(len(idx))
-    for i, j in enumerate(idx):
-        tm = th_minus[pos[int(j)]]
-        tp = th_plus[pos[int(j)]]
-        lhs = np.conj(np.transpose(tm, (0, 2, 1))) @ s_old @ tp
-        per_x[i] = float(np.max(np.abs(lhs - s_new)))
+    lhs = np.conj(np.swapaxes(th_minus[:-2], -1, -2)) @ s_old @ th_plus[:-2]
+    per_x = np.max(np.abs(lhs - s_new), axis=(1, 2, 3))
     # ends: Theta_-(left) = Theta_+(right) = 1 by construction, so the
     # asymptotic identities reduce to these two
-    lhs_left = s_old @ th_plus[pos[0]]
-    lhs_right = np.conj(np.transpose(th_minus[pos[len(xs_probe) - 1]], (0, 2, 1))) @ s_old
+    lhs_left = s_old @ th_plus[-2]
+    lhs_right = np.conj(np.swapaxes(th_minus[-1], -1, -2)) @ s_old
     bdry = max(float(np.max(np.abs(lhs_left - s_new))),
                float(np.max(np.abs(lhs_right - s_new))))
     return FactorizationReport(

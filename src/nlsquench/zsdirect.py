@@ -4,7 +4,9 @@
 
 The transfer matrix is integrated in the frame of the left asymptotic
 solution, so the oscillating factors e^{+-2i mu x} sit inside the coupling
-terms and fixed-step RK4 stays accurate.  The same machinery provides the
+terms and fixed-step RK4 stays accurate.  All RK4 integrations of the
+package run through one linear propagator (step matrices chained by tree
+products and prefix scans), defined here.  The same machinery provides the
 analytic continuation of a(k) into the upper half-plane (as a determinant
 of the two decaying Jost columns) and an argument-principle search for its
 zeros.
@@ -27,7 +29,6 @@ from .core import (
     NlsQuenchError,
     ScatteringData,
     Schwartz,
-    trapezoid_weights,
 )
 
 
@@ -65,19 +66,11 @@ class IntegratorConfig:
 
     step=None integrates on the profile grid itself; otherwise step must
     divide the profile spacing evenly and the samples are refined by cubic
-    interpolation.  refinement_factor is used by self-convergence checks.
+    interpolation.
     """
 
-    scheme: str = "rk4"
     step: Optional[float] = None
-    refinement_factor: int = 2
     det_guard: float = 1e-4
-
-    def __post_init__(self):
-        if self.scheme != "rk4":
-            raise NlsQuenchError("only the fixed-step rk4 scheme is implemented")
-        if self.refinement_factor < 2:
-            raise NlsQuenchError("refinement_factor must be >= 2")
 
     def substeps(self, h: float) -> int:
         if self.step is None:
@@ -167,14 +160,6 @@ class AsymptoticFrame:
     p_plus: np.ndarray
     p_minus: np.ndarray
 
-    @property
-    def lam_plus(self) -> np.ndarray:
-        return np.diag([self.mu, -self.mu])
-
-    @property
-    def lam_minus(self) -> np.ndarray:
-        return self.lam_plus
-
     def E(self, x: float, side: str) -> np.ndarray:
         p = self.p_plus if side == "+" else self.p_minus
         return p @ np.diag([np.exp(-1j * self.mu * x), np.exp(1j * self.mu * x)])
@@ -256,6 +241,200 @@ def _frame_arrays(c: Coupling, asym, k: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# linear RK4 propagator: every integration is fixed-step RK4 on a linear 2x2
+# system Y' = G(x) Y, so each step is a matrix, Y <- M_j Y.  Step matrices
+# are built vectorised over (steps, k), each 2x2 entry its own array, and
+# combined by an ordered tree product (end values) or a prefix scan
+# (trajectories): the scheme of the step-by-step loop, rounded differently.
+
+_CHUNK = 1 << 15  # elements per (steps x k) working array; steps go in chunks
+
+_EYE = (1.0, 0.0, 0.0, 1.0)
+
+
+def _mul(a, b):
+    """2x2 product a @ b of (m00, m01, m10, m11) entry tuples."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _rows(m, idx):
+    return tuple(e[idx] for e in m)
+
+
+def _eye_plus(a, m):
+    return (1.0 + a * m[0], a * m[1], a * m[2], 1.0 + a * m[3])
+
+
+def _adjoint(m):
+    return (np.conj(m[0]), np.conj(m[2]), np.conj(m[1]), np.conj(m[3]))
+
+
+def _as_array(m):
+    """Entry tuple -> array of shape (..., 2, 2)."""
+    return np.stack([np.stack(m[:2], -1), np.stack(m[2:], -1)], -2)
+
+
+def _entries(a):
+    """Array of shape (..., 2, 2) -> entry tuple."""
+    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+
+
+def _tree(m):
+    """Ordered product m[n-1] @ ... @ m[0] over the leading axis."""
+    while len(m[0]) > 1:
+        n = len(m[0]) // 2 * 2
+        prod = _mul(_rows(m, slice(1, n, 2)), _rows(m, slice(0, n, 2)))
+        m = prod if n == len(m[0]) else tuple(
+            np.concatenate([a, b[n:]]) for a, b in zip(prod, m))
+    return _rows(m, 0)
+
+
+def _scan(m):
+    """Prefix products p[j] = m[j] @ ... @ m[0] over the leading axis."""
+    n = len(m[0])
+    if n == 1:
+        return m
+    odd = _scan(_mul(_rows(m, slice(1, n // 2 * 2, 2)), _rows(m, slice(0, n // 2 * 2, 2))))
+    rest = _mul(_rows(m, slice(2, None, 2)), _rows(odd, slice(0, (n - 1) // 2)))
+    out = tuple(np.empty_like(e) for e in m)
+    for o, e, a, b in zip(out, m, odd, rest):
+        o[0], o[1::2], o[2::2] = e[0], a, b
+    return out
+
+
+def _propagate(build, nsteps: int, nk: int, y=_EYE, record=None):
+    """Chain nsteps steps chunk by chunk from the state y (entries (nk,));
+    build(i0, i1) gives the step matrices of steps i0..i1-1, entries
+    (i1 - i0, nk).  Returns the final state and the states after the step
+    counts in record, as (len(record), nk, 2, 2) (None without record)."""
+    y = tuple(np.broadcast_to(np.asarray(e, dtype=np.complex128), (nk,)) for e in y)
+    out = None
+    if record is not None:
+        record = np.asarray(record, dtype=int)
+        out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
+        out[record == 0] = _as_array(y)
+    per = max(1, _CHUNK // nk)
+    # overflow is diagnosed by the callers' isfinite checks, not by numpy noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, nsteps, per):
+            i1 = min(i0 + per, nsteps)
+            m = np.broadcast_arrays(*build(i0, i1))
+            hit = None if record is None else (record > i0) & (record <= i1)
+            if hit is not None and hit.any():
+                states = _mul(_scan(m), y)
+                out[hit] = _as_array(_rows(states, record[hit] - i0 - 1))
+                y = _rows(states, -1)
+            else:
+                y = _mul(_tree(m), y)
+    return y, out
+
+
+def _rk4_matrix(gens, s: float):
+    """Step matrices I + s/6 (K1 + 2 K2 + 2 K3 + K4) from the generators
+    G1..G4 at the four RK4 stages: K1 = G1, K_i = G_i (I + c_i s K_{i-1})
+    with c = 1/2, 1/2, 1."""
+    k = acc = gens[0]
+    for g, frac, w in zip(gens[1:], (0.5, 0.5, 1.0), (2.0, 2.0, 1.0)):
+        k = _mul(g, _eye_plus(frac * s, k))
+        acc = tuple(a + w * b for a, b in zip(acc, k))
+    return _eye_plus(s / 6.0, acc)
+
+
+class _Laurent:
+    """sum_i coef[i] z^(low + i) in a per-spectral-point variable z with
+    per-step coefficients.  Generators with such entries have RK4 step
+    matrices with such entries: _rk4_matrix builds them, at() evaluates."""
+
+    __array_ufunc__ = None  # ndarray * _Laurent defers to __rmul__
+
+    def __init__(self, coef, low=0):
+        self.coef, self.low = list(coef), low
+
+    def __add__(self, other):
+        other = other if isinstance(other, _Laurent) else _Laurent([other])
+        low = min(self.low, other.low)
+        coef = [0.0] * (max(self.low + len(self.coef), other.low + len(other.coef)) - low)
+        for poly in (self, other):
+            for i, c in enumerate(poly.coef, poly.low - low):
+                coef[i] = coef[i] + c
+        return _Laurent(coef, low)
+
+    def __mul__(self, other):
+        if not isinstance(other, _Laurent):
+            return 0.0 if np.isscalar(other) and other == 0 else _Laurent(
+                [other * c for c in self.coef], self.low)
+        coef = [0.0] * (len(self.coef) + len(other.coef) - 1)
+        for i, a in enumerate(self.coef):
+            for j, b in enumerate(other.coef):
+                coef[i + j] = coef[i + j] + a * b
+        return _Laurent(coef, self.low + other.low)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def at(self, z):
+        """Values (steps, nk) at z (nk,), as one (steps, n) @ (n, nk) product."""
+        a = np.stack(np.broadcast_arrays(*self.coef), axis=1)
+        return a @ (z ** np.arange(self.low, self.low + len(self.coef))[:, None])
+
+
+def _column_steps(p, q, t, s: float):
+    """Step matrices of Y' = [[0, p(x)], [q(x), t]] Y, with p and q at the
+    (start, middle, end) of each step and t per spectral point."""
+    g = [(0.0, a, b, _Laurent([0.0, 1.0])) for a, b in zip(p, q)]
+    return tuple(e.at(t) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
+
+
+def _oscillating_steps(a, b, u, s: float):
+    """Step matrices of Y' = [[0, a(x) e^{2i mu x}], [b(x) e^{-2i mu x}, 0]] Y
+    relative to the step start x_j (restore e^{2i mu x_j} with _phased):
+    with u = e^{i mu s} the stage phases are 1, u, u^2."""
+    g = [(0.0, _Laurent([ai], i), _Laurent([bi], -i), 0.0) for i, (ai, bi) in enumerate(zip(a, b))]
+    return tuple(e.at(u) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
+
+
+def _phased(m, e):
+    """D m D^{-1} with D = diag(e^{1/2}, e^{-1/2})."""
+    return (m[0], e * m[1], m[2] / e, m[3])
+
+
+def _stages(nodes, mids, start: int, direction: int, i0: int, i1: int):
+    """Values at the start, middle and end of steps i0..i1-1 taken from
+    node start in the given direction."""
+    j = start + direction * np.arange(i0, i1)
+    return nodes[j], mids[j if direction > 0 else j - 1], nodes[j + direction]
+
+
+def _column_passes(p: FieldProfile, c: Coupling, k, cfg: IntegratorConfig,
+                     meet: bool):
+    """(xs, j_lo, j_hi, rise, fall): step-matrix functions of the Jost columns
+    R1' = d1 R2, R2' = 2ik R2 + d2 R1 upward from node j_lo and
+    L1' = -2ik L1 + d1 L2, L2' = d2 L1 downward from j_hi (the field's
+    support, stretched to the central node if meet).  L is stepped as
+    (L2, L1), which takes R's form: each column is its product's first."""
+    xs, qn, qm, h = _working_samples(p, cfg)
+    m = cfg.substeps(p.h)
+    lo, hi = _support_bounds(p)
+    j_lo, j_hi = lo * m, hi * m
+    if meet:
+        j_lo, j_hi = min(j_lo, len(xs) // 2), max(j_hi, len(xs) // 2)
+    d1 = (c.value * qn, c.value * qm)
+    d2 = (c.value * np.conj(qn), c.value * np.conj(qm))
+    tik = 2j * np.atleast_1d(k)
+
+    def rise(i0, i1):
+        return _column_steps(_stages(*d1, j_lo, 1, i0, i1), _stages(*d2, j_lo, 1, i0, i1), tik, h)
+
+    def fall(i0, i1):
+        return _column_steps(_stages(*d2, j_hi, -1, i0, i1), _stages(*d1, j_hi, -1, i0, i1),
+                             -tik, -h)
+
+    return xs, j_lo, j_hi, rise, fall
+
+
+# ---------------------------------------------------------------------------
 # transfer-matrix pass
 
 def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
@@ -268,78 +447,57 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     trajectory is Psi+ on the working grid when collect=True.
     """
     k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    nk = len(k)
     xs, q_nodes, q_mids, h = _working_samples(p, cfg)
     mu, pm, pmi, seed_core = _frame_arrays(c, p.asymptotics, k)
 
     q_left, q_right = p.edge_values()
-    d1_nodes = c.value * (q_nodes - q_left)
-    d2_nodes = c.value * (np.conj(q_nodes) - np.conj(q_left))
-    d1_mids = c.value * (q_mids - q_left)
-    d2_mids = c.value * (np.conj(q_mids) - np.conj(q_left))
-
-    # A = P^{-1} [[0,1],[0,0]] P, B = P^{-1} [[0,0],[1,0]] P (per k)
-    e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-    e21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-    A = pmi @ e12 @ pm
-    B = pmi @ e21 @ pm
-
-    # oscillation factors at nodes and midpoints
-    x_all = np.empty(2 * len(xs) - 1)
-    x_all[::2] = xs
-    x_all[1::2] = 0.5 * (xs[:-1] + xs[1:])
-    ph = np.exp(2j * np.outer(x_all, mu))  # e^{+2 i mu x}
-    phm = np.exp(-2j * np.outer(x_all, mu))
-
-    def gmat(d1, d2, idx):
-        g = d1 * A + d2 * B
-        g[:, 0, 1] *= ph[idx]
-        g[:, 1, 0] *= phm[idx]
-        return g
-
-    def seed_at(node):
-        # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there
-        y0 = seed_core.copy()
-        y0[:, 0, 1] *= ph[2 * node]
-        y0[:, 1, 0] *= phm[2 * node]
-        return y0
+    d1 = (c.value * (q_nodes - q_left), c.value * (q_mids - q_left))
+    d2 = (c.value * np.conj(q_nodes - q_left), c.value * np.conj(q_mids - q_left))
 
     n = len(xs)
-    m = cfg.substeps(p.h)
     if collect:
-        j_hi, j_lo = n - 1, 0
+        j_lo, j_hi = 0, n - 1
     else:
+        m = cfg.substeps(p.h)
         lo, hi = _support_bounds(p)
         j_lo, j_hi = lo * m, hi * m
-    y = seed_at(j_hi)
-
-    traj = None
-    if collect:
-        traj = np.empty((n, nk, 2, 2), dtype=np.complex128)
-        traj[n - 1] = y
-
     s = -h
-    for j in range(j_hi, j_lo, -1):
-        g_hi = gmat(d1_nodes[j], d2_nodes[j], 2 * j)
-        g_md = gmat(d1_mids[j - 1], d2_mids[j - 1], 2 * j - 1)
-        g_lo = gmat(d1_nodes[j - 1], d2_nodes[j - 1], 2 * (j - 1))
-        k1 = g_hi @ y
-        k2 = g_md @ (y + (0.5 * s) * k1)
-        k3 = g_md @ (y + (0.5 * s) * k2)
-        k4 = g_lo @ (y + s * k3)
-        y = y + (s / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if collect:
-            traj[j - 1] = y
+    u = np.exp(1j * mu * s)
+
+    if isinstance(p.asymptotics, Schwartz):
+        def local(i0, i1):
+            return _oscillating_steps(_stages(*d1, j_hi, -1, i0, i1),
+                                      _stages(*d2, j_hi, -1, i0, i1), u, s)
+    else:
+        # G = D(x) (d1 A + d2 B) D(x)^{-1} with D = diag(e^{i mu x}, e^{-i mu x}),
+        # A = P^{-1} e12 P and B = P^{-1} e21 P; relative to the step start
+        # the stage phases are 1, u, u^2
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+        a_mat, b_mat = _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm)
+
+        def local(i0, i1):
+            g = [_phased(tuple(x[:, None] * a + y[:, None] * b for a, b in zip(a_mat, b_mat)), ph)
+                 for x, y, ph in zip(_stages(*d1, j_hi, -1, i0, i1),
+                                     _stages(*d2, j_hi, -1, i0, i1), (1.0, u, u * u))]
+            return _rk4_matrix((g[0], g[1], g[1], g[2]), s)
+
+    def build(i0, i1):
+        x0 = xs[j_hi - np.arange(i0, i1)]
+        return _phased(local(i0, i1), np.exp(2j * np.multiply.outer(x0, mu)))
+
+    # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there
+    y0 = _phased(_entries(seed_core), np.exp(2j * mu * xs[j_hi]))
+    y, traj = _propagate(build, j_hi - j_lo, len(k), y0,
+                         record=np.arange(n) if collect else None)
+    y = _as_array(y)
     if not np.isfinite(y).all():
         raise IntegratorDiverged("transfer-matrix pass produced non-finite values")
 
     if collect:
+        traj = traj[::-1]  # recorded from the right end down
         # Psi+ = E_-(x) Y(x) = P_- diag(e^{-i mu x}, e^{i mu x}) Y(x)
-        em = np.exp(-1j * np.outer(xs, mu))  # (n, nk)
-        psi = np.empty_like(traj)
-        psi[:, :, 0, :] = em[:, :, None] * traj[:, :, 0, :]
-        psi[:, :, 1, :] = (1.0 / em)[:, :, None] * traj[:, :, 1, :]
-        psi = pm[None, :, :, :] @ psi
+        em = np.exp(-1j * np.outer(xs, mu))[:, :, None]  # (n, nk, 1)
+        psi = pm[None] @ np.stack([em * traj[:, :, 0], traj[:, :, 1] / em], axis=2)
         return y, (xs, psi)
     return y, None
 
@@ -403,61 +561,16 @@ def _require_schwartz(p: FieldProfile, what: str):
 
 def _columns_meet(p: FieldProfile, c: Coupling, k: np.ndarray,
                   cfg: IntegratorConfig = DEFAULT_INTEGRATOR):
-    """Gauge-removed Jost columns R (from the left) and L (from the right),
-    each integrated in its decaying direction, met at the central node.
-
-    R solves R1' = d1 R2, R2' = 2ik R2 + d2 R1 with R(-L) = (1, 0);
-    L solves L1' = -2ik L1 + d1 L2, L2' = d2 L1 with L(+L) = (0, 1).
-    """
+    """Gauge-removed Jost columns R (from the left, R(-L) = (1, 0)) and L
+    (from the right, L(+L) = (0, 1)), each integrated in its decaying
+    direction (see _column_passes) and met at the central node."""
     k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    xs, q_nodes, q_mids, h = _working_samples(p, cfg)
-    n = len(xs)
-    imeet = n // 2
-    m = cfg.substeps(p.h)
-    lo, hi = _support_bounds(p)
-    j_lo = min(lo * m, imeet)
-    j_hi = max(hi * m, imeet)
-    d1n = c.value * q_nodes
-    d2n = c.value * np.conj(q_nodes)
-    d1m = c.value * q_mids
-    d2m = c.value * np.conj(q_mids)
-    tik = 2j * k
+    xs, j_lo, j_hi, rise, fall = _column_passes(p, c, k, cfg, meet=True)
+    imeet = len(xs) // 2
+    (r1, _, r2, _), _ = _propagate(rise, imeet - j_lo, len(k))
+    (l2, _, l1, _), _ = _propagate(fall, j_hi - imeet, len(k))
 
-    # the columns sit on their plane-wave seeds until the field switches on
-    r1 = np.ones_like(k)
-    r2 = np.zeros_like(k)
-
-    def r_rhs(x, a1, a2, u1, u2):
-        return a1 * u2, tik * u2 + a2 * u1
-
-    def l_rhs(x, a1, a2, u1, u2):
-        return -tik * u1 + a1 * u2, a2 * u1
-
-    # overflow is diagnosed by the isfinite check below, not by numpy noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(j_lo, imeet):
-            xj = xs[j]
-            f11, f12 = r_rhs(xj, d1n[j], d2n[j], r1, r2)
-            f21, f22 = r_rhs(xj + h / 2, d1m[j], d2m[j], r1 + h / 2 * f11, r2 + h / 2 * f12)
-            f31, f32 = r_rhs(xj + h / 2, d1m[j], d2m[j], r1 + h / 2 * f21, r2 + h / 2 * f22)
-            f41, f42 = r_rhs(xj + h, d1n[j + 1], d2n[j + 1], r1 + h * f31, r2 + h * f32)
-            r1 = r1 + h / 6 * (f11 + 2 * f21 + 2 * f31 + f41)
-            r2 = r2 + h / 6 * (f12 + 2 * f22 + 2 * f32 + f42)
-
-        l1 = np.zeros_like(k)
-        l2 = np.ones_like(k)
-
-        for j in range(j_hi, imeet, -1):
-            xj = xs[j]
-            f11, f12 = l_rhs(xj, d1n[j], d2n[j], l1, l2)
-            f21, f22 = l_rhs(xj - h / 2, d1m[j - 1], d2m[j - 1], l1 - h / 2 * f11, l2 - h / 2 * f12)
-            f31, f32 = l_rhs(xj - h / 2, d1m[j - 1], d2m[j - 1], l1 - h / 2 * f21, l2 - h / 2 * f22)
-            f41, f42 = l_rhs(xj - h, d1n[j - 1], d2n[j - 1], l1 - h * f31, l2 - h * f32)
-            l1 = l1 - h / 6 * (f11 + 2 * f21 + 2 * f31 + f41)
-            l2 = l2 - h / 6 * (f12 + 2 * f22 + 2 * f32 + f42)
-
-    if not (np.isfinite(r1).all() and np.isfinite(l1).all()
-            and np.isfinite(r2).all() and np.isfinite(l2).all()):
+    if not all(np.isfinite(v).all() for v in (r1, r2, l1, l2)):
         raise IntegratorDiverged("Jost column integration produced non-finite values")
     return (r1, r2), (l1, l2)
 
@@ -681,7 +794,3 @@ def reflection(sd: ScatteringData, k: float) -> complex:
     rho = sd.b / sd.a
     return complex((1.0 - t) * rho[lo] + t * rho[hi])
 
-
-def radiative_weights(kgrid: KGrid) -> np.ndarray:
-    """Trapezoid weights respecting a gapped grid."""
-    return trapezoid_weights(kgrid.samples)

@@ -150,6 +150,14 @@ def test_series_divergence_detected():
         glm_neumann(rd, Coupling(0.5), 0.0)
 
 
+def test_series_divergence_detected_on_grid():
+    # the grid reconstruction runs the same term loop as glm_neumann, so a
+    # diverging series raises instead of returning a partial sum
+    with pytest.raises(SeriesDiverging):
+        reconstruct_field(_flat_rho(3.0), Coupling(0.5), np.linspace(-2.0, 2.0, 21),
+                          boundary_tol=np.inf, method="neumann")
+
+
 def test_singular_resolvent_guard(gauss_data):
     _, c, rd = gauss_data
     with pytest.raises(SingularResolvent):

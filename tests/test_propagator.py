@@ -1,0 +1,166 @@
+"""The vectorised RK4 propagator against plain per-step loops
+(rk4_reference), including its chunk edges, and the divergence guard of
+every integration built on it."""
+
+import numpy as np
+import pytest
+
+import rk4_reference as ref
+from nlsquench import zsdirect
+from nlsquench.core import Coupling, FiniteDensity, Schwartz, make_profile
+from nlsquench.closedforms import SolitonParamsRD, soliton_profile_rd
+from nlsquench.darboux import DarbouxStep, _columns_full, apply_bt
+from nlsquench.quench import _theta_pass, higher_level_theta
+from nlsquench.zsdirect import (
+    IntegratorConfig,
+    IntegratorDiverged,
+    _propagate,
+    analytic_continue_a,
+    jost_plus,
+    scattering_batch,
+)
+from conftest import grid
+
+RTOL = 1e-12
+C = Coupling(1.3j)
+
+
+@pytest.fixture(scope="module")
+def sech10():
+    return soliton_profile_rd(SolitonParamsRD(A=1.0, V=0.3), grid(10.0, 0.05),
+                              boundary_tol=1e-3)
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _ks(nk):
+    return np.array([0.7]) if nk == 1 else np.linspace(-4.0, 4.0, nk)
+
+
+@pytest.mark.parametrize("step", [None, 0.025])
+@pytest.mark.parametrize("nk", [1, 3, 161])
+def test_scattering_batch_matches_loop(sech10, nk, step):
+    cfg = IntegratorConfig(step=step)
+    k = _ks(nk)
+    assert _rel(scattering_batch(sech10, C, k, cfg), ref.transfer(sech10, C, k, cfg)) < RTOL
+
+
+@pytest.mark.parametrize("c", [Coupling(1.0), Coupling(1j)])
+def test_scattering_batch_finite_density_matches_loop(c):
+    x = grid(20.0, 0.05)
+    p = make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2), 20.0,
+                     FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+    k = np.linspace(-4.0, 4.0, 41) + 0.0125  # clear of the branch points
+    cfg = IntegratorConfig()
+    assert _rel(scattering_batch(p, c, k, cfg), ref.transfer(p, c, k, cfg)) < RTOL
+
+
+def test_jost_trajectory_matches_loop(sech10):
+    cfg = IntegratorConfig()
+    sol = jost_plus(sech10, C, 0.4, cfg)
+    y = ref.transfer(sech10, C, [0.4], cfg, collect=True)[:, 0]
+    # Psi+ = diag(e^{-ikx}, e^{ikx}) Y on a rapidly decreasing background
+    e = np.exp(-0.4j * sol.x)
+    want = np.stack([e[:, None] * y[:, 0], y[:, 1] / e[:, None]], axis=1)
+    assert _rel(sol.samples, want) < RTOL
+
+
+def test_continuation_matches_loop(sech10):
+    cfg = IntegratorConfig()
+    k = np.array([0.3 + 2.5j, -1.0 + 0.01j, 2.0 + 1.0j, 0.1 + 0.5j, -3.0 + 1.7j])
+    got = analytic_continue_a(sech10, C, k, cfg)
+    want = ref.a_of_k(sech10, C, k, cfg)
+    assert np.max(np.abs(got - want) / np.abs(want)) < RTOL
+    assert abs(analytic_continue_a(sech10, C, k[0], cfg) - want[0]) < RTOL * abs(want[0])
+
+
+def test_columns_full_matches_loop(sech10):
+    cfg = IntegratorConfig(step=0.025)
+    _, r, lc = _columns_full(sech10, C, 0.2 + 0.8j, cfg)
+    r_ref, l_ref = ref.columns_full(sech10, C, 0.2 + 0.8j, cfg)
+    assert _rel(r, r_ref) < RTOL
+    assert _rel(lc, l_ref) < RTOL
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_theta_pass_matches_loop(sech10, direction):
+    cfg = IntegratorConfig()
+    k = np.linspace(-3.0, 3.0, 7)
+    phi_ref, th_ref = ref.theta(sech10, C, Coupling(2.1j), k, cfg, direction)
+    keep = np.array([0, 5, 200, 399, 400])
+    _, phi, th = _theta_pass(sech10, C, Coupling(2.1j), k, cfg, direction, keep=keep)
+    assert _rel(phi, phi_ref[keep]) < RTOL
+    assert _rel(th, th_ref[keep]) < RTOL
+
+
+# --- chunk edges --------------------------------------------------------------
+
+@pytest.mark.parametrize("budget", [4, 64, zsdirect._CHUNK])
+@pytest.mark.parametrize("nk", [1, 3, 5])
+@pytest.mark.parametrize("nsteps", [1, 2, 7, 33])
+def test_propagate_chunks_match_sequential_product(monkeypatch, budget, nk, nsteps):
+    monkeypatch.setattr(zsdirect, "_CHUNK", budget)
+    rng = np.random.default_rng(nsteps * 100 + nk)
+    mats = np.eye(2) + 0.3 * (rng.standard_normal((nsteps, nk, 2, 2))
+                              + 1j * rng.standard_normal((nsteps, nk, 2, 2)))
+    y0 = np.eye(2) + 0.1 * rng.standard_normal((nk, 2, 2))
+    states = [y0]
+    for m in mats:
+        states.append(m @ states[-1])
+    states = np.array(states)
+
+    def build(i0, i1):
+        return tuple(mats[i0:i1, :, r, c] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+    start = (y0[:, 0, 0], y0[:, 0, 1], y0[:, 1, 0], y0[:, 1, 1])
+    record = np.array([nsteps, 0, nsteps // 2])
+    end, out = _propagate(build, nsteps, nk, start, record=record)
+    assert _rel(zsdirect._as_array(end), states[-1]) < RTOL
+    assert _rel(out, states[record]) < RTOL
+    end, out = _propagate(build, nsteps, nk, start)
+    assert out is None
+    assert _rel(zsdirect._as_array(end), states[-1]) < RTOL
+
+
+def test_integrations_across_chunks_match_loop(sech10, monkeypatch):
+    """A budget below nk gives one step per chunk; 50 with seven k points
+    gives seven steps per chunk and an odd remainder."""
+    cfg = IntegratorConfig()
+    k = _ks(161)
+    monkeypatch.setattr(zsdirect, "_CHUNK", 64)
+    assert _rel(scattering_batch(sech10, C, k, cfg), ref.transfer(sech10, C, k, cfg)) < RTOL
+    kc = np.linspace(-2.0, 2.0, 97) + 0.5j
+    want = ref.a_of_k(sech10, C, kc, cfg)
+    got = analytic_continue_a(sech10, C, kc, cfg)
+    assert np.max(np.abs(got - want) / np.abs(want)) < RTOL
+    monkeypatch.setattr(zsdirect, "_CHUNK", 50)
+    _, r, lc = _columns_full(sech10, C, 0.2 + 0.8j, cfg)
+    r_ref, l_ref = ref.columns_full(sech10, C, 0.2 + 0.8j, cfg)
+    assert _rel(r, r_ref) < RTOL and _rel(lc, l_ref) < RTOL
+    k7 = np.linspace(-3.0, 3.0, 7)
+    phi_ref, th_ref = ref.theta(sech10, C, Coupling(2.1j), k7, cfg, -1)
+    _, phi, th = _theta_pass(sech10, C, Coupling(2.1j), k7, cfg, -1)
+    assert _rel(phi, phi_ref) < RTOL
+    assert _rel(th, th_ref) < RTOL
+
+
+# --- divergence guard ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def bump():
+    x = grid(10.0, 0.05)
+    vals = np.where(np.abs(x) < 9.0, 1e200 * np.exp(-x ** 2), 0.0)
+    return make_profile(vals, 10.0, Schwartz(), boundary_tol=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: scattering_batch(p, Coupling(1j), [0.0, 1.0]),
+    lambda p: analytic_continue_a(p, Coupling(1j), 0.3 + 0.5j),
+    lambda p: higher_level_theta(p, Coupling(1j), Coupling(2j), 0.5),
+    lambda p: apply_bt(p, Coupling(1j), DarbouxStep(k0=0.5j)),
+], ids=["scattering_batch", "analytic_continue_a", "higher_level_theta", "apply_bt"])
+def test_overflow_raises_integrator_diverged(bump, call):
+    with pytest.raises(IntegratorDiverged):
+        call(bump)
