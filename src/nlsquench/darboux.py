@@ -33,7 +33,10 @@ from .zsdirect import (
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
     IntegratorDiverged,
+    NewtonStalled,
     _column_passes,
+    _contour,
+    _newton_zeros,
     _propagate,
     find_zeros,
     default_zero_region,
@@ -118,10 +121,8 @@ def _refined_zero(p: FieldProfile, c: Coupling, k0: complex,
     exponentially sensitive to the distance from the true zero (the growing
     Jost direction leaks in like e^{2 Im k0 x}), so the recorded position is
     never trusted as-is."""
-    from .zsdirect import IntegratorDiverged, NewtonStalled, _newton_zero
-
     try:
-        k_ref = _newton_zero(p, c, k0, cfg)
+        k_ref = complex(_newton_zeros(p, c, [k0], cfg)[0])
     except (NewtonStalled, IntegratorDiverged) as exc:
         raise RemoveNonexistentZero(
             f"no zero of a(k) could be located near {k0}: {exc}") from exc
@@ -286,12 +287,9 @@ def strip_solitons(p: FieldProfile, c: Coupling,
         step = DarbouxStep(k0=z.position, mu_param=mu, mode=MODE_REMOVE)
         current = apply_bt(current, c, step, cfg)
         steps.append(step)
-    if steps:
-        leftover = find_zeros(current, c, region, cfg, with_norming=False)
-        if leftover:
-            raise NlsQuenchError(
-                f"{len(leftover)} zero(s) survived the stripping pass"
-            )
+    leftover = _contour(current, c, region)[0] if steps else 0
+    if leftover:
+        raise NlsQuenchError(f"{leftover} zero(s) survived the stripping pass")
     return current, steps
 
 

@@ -8,8 +8,8 @@ terms and fixed-step RK4 stays accurate.  All RK4 integrations of the
 package run through one linear propagator (step matrices chained by tree
 products and prefix scans), defined here.  The same machinery provides the
 analytic continuation of a(k) into the upper half-plane (as a determinant
-of the two decaying Jost columns) and an argument-principle search for its
-zeros.
+of the two decaying Jost columns) and a search for its zeros by the moments
+of one contour.
 """
 
 from __future__ import annotations
@@ -598,76 +598,21 @@ def norming_constant(p: FieldProfile, c: Coupling, k0: complex,
     return complex(l2[0] / r2[0])
 
 
-def _wrap_phase(d):
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
-
-
-def _contour_winding(p, c, rect, cfg, n0=24, max_refine=7):
-    """Winding number of a(k) along the rectangle boundary."""
-    x0, x1, y0, y1 = rect
-    corners = [x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1, x0 + 1j * y0]
-    pts: List[complex] = []
-    for a_, b_ in zip(corners[:-1], corners[1:]):
-        seg = a_ + (b_ - a_) * np.arange(n0) / n0
-        pts.extend(seg.tolist())
-    pts.append(corners[0])
-    pts = np.asarray(pts, dtype=complex)
-    vals = analytic_continue_a(p, c, pts, cfg)
-
-    for _ in range(max_refine):
-        scale = np.median(np.abs(vals))
-        if np.min(np.abs(vals)) < max(1e-13, 1e-6 * scale):
-            raise ContourThroughZero("a(k) vanishes on the contour")
-        dph = _wrap_phase(np.diff(np.angle(vals)))
-        bad = np.abs(dph) > 0.75 * np.pi
-        if not bad.any():
-            total = float(np.sum(dph))
-            w = int(round(total / (2.0 * np.pi)))
-            if abs(total / (2.0 * np.pi) - w) > 0.2:
-                raise ContourThroughZero("winding number did not settle")
-            return w
-        idx = np.nonzero(bad)[0]
-        new_pts = 0.5 * (pts[idx] + pts[idx + 1])
-        new_vals = analytic_continue_a(p, c, new_pts, cfg)
-        pts = np.insert(pts, idx + 1, new_pts)
-        vals = np.insert(vals, idx + 1, new_vals)
-    raise ContourThroughZero("contour refinement limit reached")
-
-
-def _winding_with_retry(p, c, rect, cfg, tries=4):
-    x0, x1, y0, y1 = rect
-    for t in range(tries):
-        try:
-            return _contour_winding(p, c, (x0, x1, y0, y1), cfg), (x0, x1, y0, y1)
-        except ContourThroughZero:
-            # nudge the box; keep it in the open upper half-plane
-            dx = 7.3e-3 * (t + 1) * max(x1 - x0, 1e-3)
-            dy = 5.1e-3 * (t + 1) * max(y1 - y0, 1e-3)
-            x0, x1 = x0 - dx, x1 + dx
-            y0, y1 = max(y0 - dy, 0.3 * y0 + 1e-6), y1 + dy
-    raise ContourThroughZero(f"could not place a clean contour around {rect}")
-
-
-def _newton_zero(p, c, k_init, cfg, tol=1e-11, max_iter=60):
-    k = complex(k_init)
-    for _ in range(max_iter):
-        d = 1e-5 * (1.0 + abs(k))
-        a0, ap, am = analytic_continue_a(p, c, np.array([k, k + d, k - d]), cfg)
-        da = (ap - am) / (2.0 * d)
-        if abs(da) < 1e-14:
-            raise NewtonStalled(f"flat derivative of a near k = {k}")
-        step = a0 / da
-        k = k - step
-        if k.imag <= 0:
-            k = complex(k.real, max(1e-8, -0.1 * k.imag))
-        if abs(step) < tol * (1.0 + abs(k)):
-            return k
-    raise NewtonStalled(f"Newton did not converge from {k_init}")
+# Zero search: a(k) is sampled around the search rectangle from _EDGE_POINTS
+# per edge.  Intervals whose phase step exceeds _MAX_PHASE_STEP are bisected,
+# then every interval is split once more: a whole turn inside one interval
+# aliases to a small step.  The default bottom edge runs _AXIS_GAP above the
+# axis, clear of the real zero of a(k) at a threshold coupling (a spectral
+# singularity), which the decimated profile displaces by ~1e-7.
+_EDGE_POINTS = 24
+_MAX_PHASE_STEP = np.pi / 4
+_MAX_BISECTIONS = 40
+_AXIS_GAP = 1e-6
 
 
 def _decimated(p: FieldProfile, target_h: float = 0.045) -> FieldProfile:
-    """Coarsened copy for winding-number passes (phase tracking only needs
-    a few digits of a(k); Newton polishing runs on the full profile)."""
+    """Coarsened copy for the contour pass (the moments only need a few
+    digits of a(k); Newton polishing runs on the full profile)."""
     best = 1
     for m in (6, 5, 4, 3, 2):
         if (p.n - 1) % m == 0 and p.h * m <= target_h:
@@ -679,76 +624,129 @@ def _decimated(p: FieldProfile, target_h: float = 0.045) -> FieldProfile:
                         asymptotics=p.asymptotics, boundary_tol=p.boundary_tol)
 
 
+def _contour(p: FieldProfile, c: Coupling, region):
+    """(N, nodes, increments of log a(k) between the nodes) around the
+    rectangle, counter-clockwise from x0 + i y0 and closed; the winding
+    number N of a counts the zeros inside, with multiplicity."""
+    x0, x1, y0, y1 = region
+    corners = np.array([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1, x0 + 1j * y0])
+    t = np.arange(_EDGE_POINTS) / _EDGE_POINTS
+    pts = np.append((corners[:-1, None] + np.diff(corners)[:, None] * t).ravel(), corners[0])
+    coarse = _decimated(p)
+    vals = analytic_continue_a(coarse, c, pts)
+    doubled = False
+    for _ in range(_MAX_BISECTIONS):
+        mag = np.abs(vals)
+        if mag.min() < max(1e-13, 1e-6 * float(np.median(mag))):
+            raise ContourThroughZero("a(k) vanishes on the contour")
+        dlog = np.log(vals[1:] / vals[:-1])  # phase steps wrapped to (-pi, pi]
+        bad = np.abs(dlog.imag) > _MAX_PHASE_STEP
+        if not bad.any():
+            if doubled:
+                break
+            bad[:] = True
+        doubled = bool(bad.all())
+        idx = np.nonzero(bad)[0]
+        mids = 0.5 * (pts[idx] + pts[idx + 1])
+        pts = np.insert(pts, idx + 1, mids)
+        vals = np.insert(vals, idx + 1, analytic_continue_a(coarse, c, mids))
+    else:
+        raise ContourThroughZero("contour refinement limit reached")
+    turns = float(np.sum(dlog.imag)) / (2.0 * np.pi)
+    n = int(round(turns))
+    if abs(turns - n) > 0.2:
+        raise ContourThroughZero("winding number did not settle")
+    return n, pts, dlog
+
+
+def _moment_roots(pts: np.ndarray, dlog: np.ndarray, n: int, region) -> np.ndarray:
+    """The n zeros inside the rectangle as the roots of prod_j (k - k_j),
+    from the power sums s_p = (1/2 pi i) sum k_mid^p (increment of log a),
+    p <= n, in a variable centred and scaled to the rectangle."""
+    x0, x1, y0, y1 = region
+    centre, scale = complex(x0 + x1, y0 + y1) / 2, abs(complex(x1 - x0, y1 - y0)) / 2
+    w = (0.5 * (pts[1:] + pts[:-1]) - centre) / scale
+    s = [complex(np.sum(w ** j * dlog)) / (2j * np.pi) for j in range(n + 1)]
+    e = [1.0 + 0.0j]
+    for m in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[m - i] * s[i] for i in range(1, m + 1)) / m)
+    return centre + scale * np.roots([(-1) ** m * e[m] for m in range(n + 1)])
+
+
+def _newton_zeros(p: FieldProfile, c: Coupling, starts, cfg: IntegratorConfig,
+                  tol: float = 1e-11, max_iter: int = 60) -> np.ndarray:
+    """Newton iteration on a(k) from every start at once, with a central
+    finite-difference derivative; each iteration is one batched evaluation
+    of a at the starts not yet converged."""
+    k = np.array(starts, dtype=np.complex128)
+    live = np.arange(len(k))
+    for _ in range(max_iter):
+        kl = k[live]
+        d = 1e-5 * (1.0 + np.abs(kl))
+        a0, ap, am = analytic_continue_a(
+            p, c, np.concatenate([kl, kl + d, kl - d]), cfg).reshape(3, -1)
+        da = (ap - am) / (2.0 * d)
+        flat = np.abs(da) < 1e-14
+        if flat.any():
+            raise NewtonStalled(f"flat derivative of a near k = {kl[flat][0]}")
+        step = a0 / da
+        kl = kl - step
+        below = kl.imag <= 0
+        kl[below] = kl[below].real + 1j * np.maximum(1e-8, -0.1 * kl[below].imag)
+        k[live] = kl
+        live = live[np.abs(step) >= tol * (1.0 + np.abs(kl))]
+        if len(live) == 0:
+            return k
+    raise NewtonStalled(f"Newton did not converge near {k[live[0]]}")
+
+
 def find_zeros(p: FieldProfile, c: Coupling,
                region: Tuple[float, float, float, float],
-               cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-               with_norming: bool = True,
-               _box_size: float = 0.05) -> List[DiscreteEigenvalue]:
-    """Zeros of a(k) inside a rectangle strictly above the real axis.
+               cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> List[DiscreteEigenvalue]:
+    """Zeros of a(k) inside the rectangle (re_min, re_max, im_min, im_max),
+    im_min >= 0, with their orders and norming constants.
 
-    The count comes from the argument principle on recursively subdivided
-    rectangles; positions are polished by Newton iteration with a central
-    finite-difference derivative, and the reported order is the winding
-    count of the isolating box.
+    a(k) is sampled once around the boundary, whose bottom edge may lie on
+    the real axis.  The winding number s0 of a gives the count N, and the
+    contour moments s_p = (1/2 pi i) oint k^p d log a, p <= N, give the
+    zeros as the roots of a polynomial (Newton's identities).  One batched
+    Newton run on the full profile polishes every root; a zero's order is
+    the number of roots that land on it.  ContourThroughZero is raised
+    when a(k) vanishes on the boundary (on the real axis: a spectral
+    singularity) or s0 is not close to an integer.
     """
     _require_schwartz(p, "zero search")
     x0, x1, y0, y1 = region
-    if not (y0 > 0 and y1 > y0 and x1 > x0):
-        raise NlsQuenchError("region must be a rectangle strictly inside Im k > 0")
-
-    found: List[Tuple[complex, int]] = []
-    p_wind = _decimated(p)
-    wind_cfg = DEFAULT_INTEGRATOR
-
-    def recurse(rect, depth):
-        w, rect = _winding_with_retry(p_wind, c, rect, wind_cfg)
-        if w == 0:
-            return
-        rx0, rx1, ry0, ry1 = rect
-        if max(rx1 - rx0, ry1 - ry0) < _box_size or depth > 40:
-            k_star = _newton_zero(p, c, complex(0.5 * (rx0 + rx1), 0.5 * (ry0 + ry1)), cfg)
-            found.append((k_star, w))
-            return
-        if (rx1 - rx0) >= (ry1 - ry0):
-            xm = 0.5 * (rx0 + rx1)
-            recurse((rx0, xm, ry0, ry1), depth + 1)
-            recurse((xm, rx1, ry0, ry1), depth + 1)
-        else:
-            ym = 0.5 * (ry0 + ry1)
-            recurse((rx0, rx1, ry0, ym), depth + 1)
-            recurse((rx0, rx1, ym, ry1), depth + 1)
-
-    recurse((x0, x1, y0, y1), 0)
-
-    # merge duplicates (Newton can land on the same root from two boxes)
-    merged: List[Tuple[complex, int]] = []
-    for k_star, w in sorted(found, key=lambda t: (t[0].real, t[0].imag)):
-        for i, (k_old, w_old) in enumerate(merged):
-            if abs(k_star - k_old) < 1e-7 * (1.0 + abs(k_star)):
-                merged[i] = (k_old, max(w_old, w))
-                break
-        else:
-            merged.append((k_star, w))
-
+    if not (y0 >= 0 and y1 > y0 and x1 > x0):
+        raise NlsQuenchError("region must be a rectangle in Im k >= 0")
+    n, pts, dlog = _contour(p, c, region)
+    if n == 0:
+        return []
+    roots = _newton_zeros(p, c, _moment_roots(pts, dlog, n, region), cfg)
+    same = np.abs(roots[:, None] - roots) < 1e-7 * (1.0 + np.abs(roots[:, None]))
     out = []
-    for k_star, order in merged:
+    for i in sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag)):
+        if same[i, :i].any():
+            continue  # counted in the order of its first copy
+        k_star = complex(roots[i])
         if k_star.imag < 1e-4:
             warnings.warn(f"zero at {k_star} lies within 1e-4 of the real axis")
-        norm = norming_constant(p, c, k_star, cfg) if with_norming else None
-        out.append(DiscreteEigenvalue(position=k_star, order=order, norming=norm))
+        out.append(DiscreteEigenvalue(position=k_star, order=int(same[i].sum()),
+                                      norming=norming_constant(p, c, k_star, cfg)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # batch driver
 
-def default_zero_region(p: FieldProfile, c: Coupling, kgrid: KGrid,
-                        axis_floor: float = 1e-2) -> Tuple[float, float, float, float]:
-    """Search box covering every possible bound state: eigenvalue heights
-    are bounded by the sup of the potential, Im k0 <= |c| max|q|."""
+def default_zero_region(p: FieldProfile, c: Coupling,
+                        kgrid: KGrid) -> Tuple[float, float, float, float]:
+    """Search box covering every possible bound state: the bottom edge runs
+    _AXIS_GAP above the real axis, and eigenvalue heights are bounded by the
+    sup of the potential, Im k0 <= |c| max|q|."""
     kmax = float(np.max(np.abs(kgrid.samples)))
     bound = abs(c.value) * float(np.max(np.abs(p.values)))
-    return (-kmax, kmax, axis_floor, 1.05 * bound + 0.1)
+    return (-kmax, kmax, _AXIS_GAP, 1.05 * bound + 0.1)
 
 
 def scatter_grid(p: FieldProfile, c: Coupling, kgrid: KGrid,

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from nlsquench.core import Coupling, NlsQuenchError, Schwartz, make_kgrid, make_profile
+from nlsquench.core import (
+    Coupling,
+    KGrid,
+    NlsQuenchError,
+    Schwartz,
+    make_kgrid,
+    make_profile,
+)
 from nlsquench.darboux import (
     DarbouxStep,
     RemoveNonexistentZero,
@@ -13,6 +20,8 @@ from nlsquench.darboux import (
 )
 from nlsquench.zsdirect import (
     IntegratorConfig,
+    default_zero_region,
+    find_zeros,
     norming_constant,
     scatter_grid,
     scattering_batch,
@@ -155,6 +164,33 @@ def test_strip_two_soliton_bound_state(sech25):
     k = np.linspace(-3, 3, 25)
     s = scattering_batch(out, c, k, IntegratorConfig(step=0.01))
     assert np.max(np.abs(s[:, 1, 1] - 1.0)) < 1e-6
+
+
+def test_dressed_spectrum_known_answer():
+    # a weak radiative field dressed with a close pair 0.05 apart, a zero
+    # 0.002 above the axis and three zeros off the imaginary axis; a
+    # soliton of height 0.002 is ~250 wide, hence the long grid.  The low
+    # zero sits under a node of the contour's bottom edge: elsewhere its
+    # phase turn of 2 pi along the axis falls between two nodes and the
+    # search misses it (README, numerical design notes)
+    x = grid(2500.0, 0.1)
+    seed = make_profile(0.1 * np.exp(-x ** 2 / 4), 2500.0, Schwartz(), boundary_tol=1e-10)
+    c = Coupling(1j)
+    zeros = [0.1 + 0.1j, 0.15 + 0.1j, 0.002j, -0.3 + 0.12j]
+    dressed = seed
+    for k0 in zeros:
+        dressed = apply_bt(dressed, c, DarbouxStep(k0=k0, mu_param=1.0, mode="add"),
+                           boundary_tol=1e-6)
+    region = default_zero_region(dressed, c, KGrid(np.array([-5.0, 5.0])))
+    found = find_zeros(dressed, c, region)
+    assert len(found) == len(zeros)
+    for k0 in zeros:
+        z = min(found, key=lambda z: abs(z.position - k0))
+        assert abs(z.position - k0) <= 1e-6
+        assert z.order == 1
+    out, steps = strip_solitons(dressed, c)
+    assert len(steps) == len(zeros)
+    assert np.max(np.abs(out.values - seed.values)) < 1e-6
 
 
 def test_dual_quench_identity(sech25):

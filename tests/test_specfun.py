@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from nlsquench.specfun import (
-    NonConvergent,
-    ParameterPole,
-    PoleAtNonPositiveInteger,
-    SpecFunConfig,
-    gamma_complex,
-    hyp2f1,
-)
+from nlsquench.specfun import PoleAtNonPositiveInteger, gamma_complex
+from hypergeometric import NonConvergent, ParameterPole, SpecFunConfig, hyp2f1
 
 
 def test_gamma_half():

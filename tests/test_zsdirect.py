@@ -12,10 +12,10 @@ from nlsquench.core import (
     make_kgrid,
     make_profile,
 )
-from nlsquench.closedforms import SolitonParamsRD, soliton_profile_rd
-from nlsquench.specfun import hyp2f1
+from nlsquench.closedforms import SolitonParamsRD, soliton_profile_rd, zeros_rapid
 from nlsquench.zsdirect import (
     BranchPoint,
+    ContourThroughZero,
     DivisionByZeroA,
     IntegratorConfig,
     UnsupportedAsymptotics,
@@ -30,6 +30,7 @@ from nlsquench.zsdirect import (
     scattering_matrix,
 )
 from conftest import grid
+from hypergeometric import hyp2f1
 
 
 # --- asymptotic frames ------------------------------------------------------
@@ -235,10 +236,43 @@ def test_find_zeros_census(sech25, fine_cfg):
     assert abs(zs[0].position - 0.5j) < 1e-6
     assert zs[0].order == 1
     # count equals the winding of the whole region
-    from nlsquench.zsdirect import _contour_winding
+    from nlsquench.zsdirect import _contour
 
-    w = _contour_winding(sech25, Coupling(1j), region, fine_cfg)
+    w = _contour(sech25, Coupling(1j), region)[0]
     assert w == sum(z.order for z in zs)
+
+
+# (A, V, nu) of sech draws whose zeros sit 0.0011-0.019 above the real axis,
+# on the census grid; a search box floored above the axis missed them
+CENSUS_NEAR_AXIS = [
+    (1.055393, 0.131208, 2.506927),
+    (0.919341, -0.444934, 0.520731),
+    (0.850813, -0.188654, 0.515436),
+    (1.226072, -0.483858, 0.500892),
+    (1.240542, -0.170508, 0.501026),
+    (0.925385, -0.265759, 1.504078),
+]
+
+
+@pytest.mark.parametrize("A, V, nu", CENSUS_NEAR_AXIS)
+def test_scatter_grid_census_near_axis(A, V, nu):
+    p = soliton_profile_rd(SolitonParamsRD(A=A, V=V), grid(25.0, 0.02), boundary_tol=1e-8)
+    c = Coupling(1j * nu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sd = scatter_grid(p, c, make_kgrid(c, Schwartz(), 4.0, 161), IntegratorConfig(step=0.01))
+        expect = sorted((z.position for z in zeros_rapid(nu, A, V)), key=lambda k: k.imag)
+    found = sorted(sd.discrete, key=lambda z: z.position.imag)
+    assert len(found) == len(expect)
+    for z, e in zip(found, expect):
+        assert abs(z.position - e) <= 1e-6
+        assert z.order == 1
+
+
+def test_spectral_singularity_on_contour(sech25):
+    # at the threshold coupling nu = 3/2 a(k) vanishes at k = 0 on the axis
+    with pytest.raises(ContourThroughZero):
+        find_zeros(sech25, Coupling(1.5j), (-2.0, 2.0, 0.0, 3.0))
 
 
 def test_find_zeros_none_defocusing(sech25, fine_cfg):
