@@ -36,7 +36,7 @@ from .core import (
     make_profile,
 )
 from .darboux import DarbouxStep, apply_bt, dual_quench
-from .glm import ResolventConfig, radiative_part, reconstruct_field
+from .glm import radiative_part, reconstruct_field
 from .oracle import StepperConfig, evolve, isospectral_check
 from .quench import classify_post_quench, quench_map, verify_factorization
 from .zsdirect import IntegratorConfig, find_zeros, scatter_grid
@@ -123,14 +123,7 @@ def _integrator(spec) -> IntegratorConfig:
 def _stepper(spec) -> StepperConfig:
     spec = spec or {}
     return StepperConfig(dt=float(spec.get("dt", 1e-4)),
-                         n_modes=int(spec.get("n_modes", 2048)),
-                         dealias=bool(spec.get("dealias", False)))
-
-
-def _resolvent(spec) -> ResolventConfig:
-    spec = spec or {}
-    return ResolventConfig(eps=spec.get("eps"),
-                           neumann_terms=int(spec.get("neumann_terms", 12)))
+                         n_modes=int(spec.get("n_modes", 2048)))
 
 
 def _outdir(args):
@@ -240,7 +233,6 @@ def cmd_reconstruct(cfg, args) -> int:
     n = int(xspec.get("n", 321))
     xs = np.linspace(-L, L, n)
     field = reconstruct_field(radiative_part(sd), c0, xs, t=float(cfg.get("time", 0.0)),
-                              cfg=_resolvent(cfg.get("resolvent")),
                               boundary_tol=float(cfg.get("boundary_tol", 0.05)))
     out = _outdir(args)
     dump_json(field.to_json_dict(), os.path.join(out, "field.json"))

@@ -132,19 +132,18 @@ def ab_rapid(k, c: complex, A: float, V: float = 0.0) -> Tuple[complex, complex]
     return a, b
 
 
-def zeros_rapid(nu: float, A: float, V: float = 0.0,
-                threshold_tol: float = 1e-12) -> List[DiscreteEigenvalue]:
+def zeros_rapid(nu: float, A: float, V: float = 0.0) -> List[DiscreteEigenvalue]:
     """Upper-half-plane zeros of a(k, i nu): k = -V/2 + iA(nu - n - 1/2) for
-    n >= 0 while the height stays positive.  A zero landing exactly on the
-    real axis is marginal and excluded."""
+    n >= 0 while nu - n - 1/2 > 1e-12.  A zero landing on the real axis
+    (|nu - n - 1/2| <= 1e-12) is marginal, excluded and warned about."""
     if not nu > 0:
         raise NlsQuenchError("nu must be positive")
     out = []
     n = 0
     while True:
         height = nu - n - 0.5
-        if height <= threshold_tol:
-            if abs(height) <= threshold_tol:
+        if height <= 1e-12:
+            if abs(height) <= 1e-12:
                 warnings.warn(f"marginal zero on the real axis at nu = {nu}")
             break
         out.append(DiscreteEigenvalue(position=complex(-V / 2.0, A * height), order=1))

@@ -161,6 +161,8 @@ class FieldProfile:
             raise NlsQuenchError("profile needs at least 16 samples")
         if not (self.h > 0 and self.L > 0):
             raise NlsQuenchError("grid spacing and half-width must be positive")
+        if not np.isfinite(self.values).all():
+            raise NlsQuenchError("profile samples must be finite")
         left, right = self.edge_values()
         dl = abs(self.values[0] - left)
         dr = abs(self.values[-1] - right)
@@ -234,6 +236,8 @@ class KGrid:
         s = np.asarray(self.samples, dtype=float).copy()
         if s.ndim != 1 or len(s) < 2:
             raise EmptyGrid("spectral grid needs at least two samples")
+        if not np.isfinite(s).all():
+            raise NlsQuenchError("spectral samples must be finite")
         if (np.diff(s) <= 0).any():
             raise NlsQuenchError("spectral samples must be strictly increasing")
         if self.gap is not None:
@@ -271,17 +275,17 @@ def make_kgrid(c: Coupling, asymptotics: Asymptotics, k_max: float, n: int) -> K
     return KGrid(np.concatenate([left, right]), gap=(-g, g))
 
 
-def trapezoid_weights(k: np.ndarray, gap_factor: float = 3.0) -> np.ndarray:
+def trapezoid_weights(k: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature weights for a sorted grid.
 
-    Spacing jumps larger than gap_factor times the median spacing are treated
-    as segment boundaries (the forbidden interval of a gapped grid), so the
+    Spacing jumps larger than three times the median spacing are treated as
+    segment boundaries (the forbidden interval of a gapped grid), so the
     rule never integrates across the gap.
     """
     k = np.asarray(k, dtype=float)
     d = np.diff(k)
     med = np.median(d)
-    breaks = np.nonzero(d > gap_factor * med)[0]
+    breaks = np.nonzero(d > 3.0 * med)[0]
     w = np.zeros_like(k)
     start = 0
     for b in list(breaks) + [len(k) - 1]:
@@ -366,13 +370,14 @@ class ScatteringData:
     def reflection_samples(self) -> np.ndarray:
         return self.b / self.a
 
-    def validate(self, det_tol: float = 1e-8, edge_tol: Optional[float] = 0.5,
-                 a_infinity: complex = 1.0 + 0.0j):
+    def validate(self, det_tol: float = 1e-8, edge_tol: Optional[float] = 0.5):
+        """Check det S = 1 to det_tol and, unless edge_tol is None, that a
+        has reached its limit 1 at both grid ends to within edge_tol."""
         d = self.det_defect()
         if d > det_tol:
             raise NlsQuenchError(f"det S defect {d:.3e} exceeds {det_tol:.1e}")
         if edge_tol is not None:
-            e = max(abs(self.a[0] - a_infinity), abs(self.a[-1] - a_infinity))
+            e = max(abs(self.a[0] - 1.0), abs(self.a[-1] - 1.0))
             if e > edge_tol:
                 raise NlsQuenchError(
                     f"a at the grid ends differs from its limit by {e:.3e} "

@@ -28,7 +28,7 @@ from .core import (
     ScatteringData,
     Schwartz,
 )
-from .glm import DEFAULT_RESOLVENT, ResolventConfig, radiative_part, reconstruct_field
+from .glm import radiative_part, reconstruct_field
 from .zsdirect import (
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
@@ -238,10 +238,10 @@ def apply_bt(p: FieldProfile, c: Coupling, step: DarbouxStep,
                         boundary_tol=tol).validate()
 
 
-def bt_data_effect(sd: ScatteringData, step: DarbouxStep,
-                   match_tol: float = 1e-6) -> ScatteringData:
+def bt_data_effect(sd: ScatteringData, step: DarbouxStep) -> ScatteringData:
     """Predicted data after one dressing step: a gains or loses the
-    Blaschke factor (k - k0)/(k - k0*), b is untouched."""
+    Blaschke factor (k - k0)/(k - k0*), b is untouched.  A removal needs a
+    recorded zero within 1e-6 (1 + |k0|) of k0."""
     k = sd.kgrid.samples
     k0 = step.k0
     blaschke = (k - k0) / (k - np.conj(k0))
@@ -250,7 +250,7 @@ def bt_data_effect(sd: ScatteringData, step: DarbouxStep,
         discrete = sd.discrete + (DiscreteEigenvalue(position=k0, order=1),)
     else:
         hit = [z for z in sd.discrete
-               if abs(z.position - k0) < match_tol * (1.0 + abs(k0))]
+               if abs(z.position - k0) < 1e-6 * (1.0 + abs(k0))]
         if not hit:
             raise RemoveNonexistentZero(f"no recorded zero near {k0}")
         if hit[0].order > 1:
@@ -264,14 +264,13 @@ def bt_data_effect(sd: ScatteringData, step: DarbouxStep,
 def strip_solitons(p: FieldProfile, c: Coupling,
                    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
                    kgrid: Optional[KGrid] = None,
-                   zero_region: Optional[Tuple[float, float, float, float]] = None,
                    ) -> Tuple[FieldProfile, List[DarbouxStep]]:
     """Remove every simple zero of a(k), largest Im k0 first, returning the
-    purely radiative field and the steps taken (in order of application)."""
-    region = zero_region
-    if region is None:
-        ref = kgrid if kgrid is not None else KGrid(np.array([-5.0, 5.0]))
-        region = default_zero_region(p, c, ref)
+    purely radiative field and the steps taken (in order of application).
+    The zeros are searched in default_zero_region for kgrid (default: the
+    window [-5, 5])."""
+    ref = kgrid if kgrid is not None else KGrid(np.array([-5.0, 5.0]))
+    region = default_zero_region(p, c, ref)
     zeros = find_zeros(p, c, region, cfg)
     for z in zeros:
         if z.order > 1:
@@ -322,9 +321,7 @@ def _upsample_to_grid(vals_coarse: np.ndarray, p: FieldProfile, m: int) -> np.nd
 
 
 def dual_quench(p: FieldProfile, c: Coupling, c0: Coupling, kgrid: KGrid,
-                xgrid: Optional[np.ndarray] = None,
                 cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-                rcfg: ResolventConfig = DEFAULT_RESOLVENT,
                 exact_rescale: Optional[bool] = None) -> FieldProfile:
     """Field with the same scattering data under coupling c0 that p has
     under coupling c.
@@ -332,11 +329,9 @@ def dual_quench(p: FieldProfile, c: Coupling, c0: Coupling, kgrid: KGrid,
     When c/c0 is real and the regime is unchanged the map is exactly the
     rescaling q -> (c/c0) q, which is returned directly unless
     exact_rescale=False forces the generic pipeline: strip the zeros at c,
-    rebuild the radiative part from rho at coupling c0 (on a Nyquist-safe
-    subgrid, spectrally upsampled), then re-add the zeros at c0.
-
-    An explicit xgrid overrides the subgrid choice and returns the rebuilt
-    field on that grid without zero re-addition being grid-matched to p.
+    rebuild the radiative part from rho at coupling c0 (resolvent route
+    with the default ResolventConfig, on a Nyquist-safe subgrid of p's grid,
+    spectrally upsampled), then re-add the zeros at c0.
     """
     if c.value == 0 or c0.value == 0:
         raise NlsQuenchError("the field-side quench needs nonzero couplings")
@@ -354,16 +349,12 @@ def dual_quench(p: FieldProfile, c: Coupling, c0: Coupling, kgrid: KGrid,
     stripped, steps = strip_solitons(p, c, cfg, kgrid=kgrid)
     sd_r = scatter_grid(stripped, c, kgrid, cfg, find_discrete=False)
     rd = radiative_part(sd_r)
-    if xgrid is not None:
-        rebuilt = reconstruct_field(rd, c0, np.asarray(xgrid, dtype=float),
-                                    cfg=rcfg, boundary_tol=0.05)
-    else:
-        k_max = float(np.max(np.abs(kgrid.samples)))
-        m = _coarse_stride(p, k_max)
-        coarse = reconstruct_field(rd, c0, p.x[::m], cfg=rcfg, boundary_tol=0.05)
-        vals = _upsample_to_grid(coarse.values, p, m)
-        rebuilt = FieldProfile(L=p.L, h=p.h, values=vals,
-                               asymptotics=Schwartz(), boundary_tol=0.05)
+    k_max = float(np.max(np.abs(kgrid.samples)))
+    m = _coarse_stride(p, k_max)
+    coarse = reconstruct_field(rd, c0, p.x[::m], boundary_tol=0.05)
+    vals = _upsample_to_grid(coarse.values, p, m)
+    rebuilt = FieldProfile(L=p.L, h=p.h, values=vals,
+                           asymptotics=Schwartz(), boundary_tol=0.05)
     for step in reversed(steps):
         add = DarbouxStep(k0=step.k0, mu_param=1.0, mode=MODE_ADD)
         rebuilt = apply_bt(rebuilt, c0, add, cfg=IntegratorConfig(),

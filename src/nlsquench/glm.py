@@ -17,7 +17,6 @@ stepper; see the regression tests):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -72,29 +71,22 @@ def radiative_part(sd: ScatteringData) -> RadiativeData:
 
 @dataclass(frozen=True)
 class ResolventConfig:
-    """Discretisation of the +i0 kernels: eps regularises the denominators
-    (None picks the grid spacing), trapezoid weights do the quadrature."""
+    """Limits of the two routes: the Neumann sum stops after neumann_terms
+    iterated terms, and rosales_resummed rejects a resolvent whose condition
+    number exceeds cond_limit."""
 
-    eps: Optional[float] = None
     neumann_terms: int = 12
-    term_stop: float = 1e-12
     cond_limit: float = 1e12
 
     def __post_init__(self):
-        if self.eps is not None and not self.eps > 0:
-            raise NlsQuenchError("eps must be positive")
         if self.neumann_terms < 0:
             raise NlsQuenchError("neumann_terms must be >= 0")
 
 
 DEFAULT_RESOLVENT = ResolventConfig()
 
-
-def _eps_for(rd: RadiativeData, cfg: ResolventConfig) -> float:
-    if cfg.eps is not None:
-        return cfg.eps
-    d = np.diff(rd.kgrid.samples)
-    return float(np.median(d))
+# the Neumann sum stops once a term falls below this fraction of the largest
+_TERM_STOP = 1e-12
 
 
 def f_kernel(rd: RadiativeData, x: float, t: float = 0.0) -> complex:
@@ -106,15 +98,17 @@ def f_kernel(rd: RadiativeData, x: float, t: float = 0.0) -> complex:
     return complex(np.sum(w * rho * np.exp(-1j * k * x)) / (2.0 * np.pi))
 
 
-def _kernel_matrices(rd: RadiativeData, cfg: ResolventConfig):
+def _kernel_matrices(rd: RadiativeData):
     """x-independent pieces of the discretised operators:
 
     O      = diag(f*) M1 diag(f),   M1[i,j] =  rho_j w_j / (2 pi i (k_j - k_i + i eps))
     O-star = diag(f)  M2 diag(f*),  M2[i,j] = -rho_j* w_j / (2 pi i (k_j - k_i - i eps))
+
+    with eps the median k spacing and trapezoid weights w.
     """
     k = rd.kgrid.samples
     w = trapezoid_weights(k)
-    eps = _eps_for(rd, cfg)
+    eps = float(np.median(np.diff(k)))
     diff = k[None, :] - k[:, None]
     m1 = (rd.rho * w)[None, :] / (2j * np.pi * (diff + 1j * eps))
     m2 = -(np.conj(rd.rho) * w)[None, :] / (2j * np.pi * (diff - 1j * eps))
@@ -126,8 +120,8 @@ class _DiscretizedKernel:
     and contracting with quad * f^2 * h gives the field.  Time is carried
     entirely by the data phase e^{-4ik^2 t} on rho."""
 
-    def __init__(self, rd: RadiativeData, t: float, cfg: ResolventConfig):
-        k, w, m1, m2 = _kernel_matrices(rd, cfg)
+    def __init__(self, rd: RadiativeData, t: float):
+        k, w, m1, m2 = _kernel_matrices(rd)
         phase_t = np.exp(-4j * k ** 2 * t) if t else np.ones_like(k)
         self.k = k
         self.m1t = m1 * phase_t[None, :]
@@ -161,7 +155,7 @@ def _neumann_sum(op: _DiscretizedKernel, scale: complex, cfg: ResolventConfig) -
     """Iterated-kernel sum at the kernel's current x, term by term.
 
     Raises SeriesDiverging as soon as the terms keep growing; stops early
-    once terms fall below term_stop relative to the leading one.
+    once a term falls below 1e-12 of the largest one.
     """
     h = np.ones(len(op.k), dtype=np.complex128)
     # absolute round-off floor of one closing quadrature; terms at or below
@@ -178,7 +172,7 @@ def _neumann_sum(op: _DiscretizedKernel, scale: complex, cfg: ResolventConfig) -
         if lead is None:
             lead = max(mag, 1e-300)
         lead = max(lead, mag)
-        if mag <= max(cfg.term_stop * lead, noise):
+        if mag <= max(_TERM_STOP * lead, noise):
             break
         if prev is not None and mag >= prev:
             # a non-decreasing step can follow an oscillation null of the
@@ -202,7 +196,7 @@ def glm_neumann(rd: RadiativeData, c0: Coupling, x: float,
     """q(x, t) by the iterated-kernel sum (see _neumann_sum for its
     stopping and divergence rules)."""
     rd = RadiativeData(kgrid=rd.kgrid, rho=rd.rho, coupling=c0)
-    op = _DiscretizedKernel(rd, t, cfg).at_x(x)
+    op = _DiscretizedKernel(rd, t).at_x(x)
     return _neumann_sum(op, _born_scale(rd), cfg)
 
 
@@ -210,7 +204,7 @@ def rosales_resummed(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0,
                      cfg: ResolventConfig = DEFAULT_RESOLVENT) -> complex:
     """q(x, t) by a dense solve of (1 - (c/c*) O-star O) h = f."""
     rd = RadiativeData(kgrid=rd.kgrid, rho=rd.rho, coupling=c0)
-    op = _DiscretizedKernel(rd, t, cfg).at_x(x)
+    op = _DiscretizedKernel(rd, t).at_x(x)
     mat = np.eye(rd.kgrid.n, dtype=np.complex128) - op.dense()
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > cfg.cond_limit:
@@ -225,12 +219,15 @@ def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
     """Radiative field on a symmetric grid, solving the dressed kernel at
     every sample point (the kernel matrices are x-independent and reused).
     method="neumann" sums the iterated kernel instead of solving densely,
-    under the stopping and divergence rules of glm_neumann."""
+    under the stopping and divergence rules of glm_neumann.  xgrid needs at
+    least 16 points, as every FieldProfile does."""
     if method not in ("resolvent", "neumann"):
         raise NlsQuenchError("method must be 'resolvent' or 'neumann'")
     xgrid = np.asarray(xgrid, dtype=float)
+    if len(xgrid) < 16:
+        raise NlsQuenchError("reconstruction grid needs at least 16 points")
     rd = RadiativeData(kgrid=rd.kgrid, rho=rd.rho, coupling=c0)
-    op = _DiscretizedKernel(rd, t, cfg)
+    op = _DiscretizedKernel(rd, t)
     eye = np.eye(rd.kgrid.n, dtype=np.complex128)
     scale = _born_scale(rd)
     ones = np.ones(rd.kgrid.n, dtype=np.complex128)

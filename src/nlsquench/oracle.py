@@ -31,7 +31,6 @@ class BlowUp(NlsQuenchError):
 class StepperConfig:
     dt: float = 1e-4
     n_modes: int = 2048
-    dealias: bool = False
     max_amp: float = 1e6
 
     def __post_init__(self):
@@ -88,20 +87,15 @@ def _rho_sq(p: FieldProfile) -> float:
 
 
 def _split_steps(values: np.ndarray, box: float, c2: float, rho2: float,
-                 dt: float, n_steps: int, dealias: bool, max_amp: float) -> np.ndarray:
+                 dt: float, n_steps: int, max_amp: float) -> np.ndarray:
     """Strang splitting: half linear, full nonlinear phase, half linear."""
     n = len(values)
     khat = 2.0 * np.pi * np.fft.fftfreq(n, d=box / n)
     half = np.exp(-1j * khat ** 2 * dt / 2.0)
-    mask = None
-    if dealias:
-        mask = np.abs(khat) <= (2.0 / 3.0) * np.max(np.abs(khat))
     q = values.astype(np.complex128, copy=True)
     for _ in range(n_steps):
         q = np.fft.ifft(half * np.fft.fft(q))
         q = q * np.exp(-2j * c2 * (np.abs(q) ** 2 - rho2) * dt)
-        if mask is not None:
-            q = np.fft.ifft(mask * np.fft.fft(q))
         q = np.fft.ifft(half * np.fft.fft(q))
         peak = float(np.max(np.abs(q)))
         if not np.isfinite(peak) or peak > max_amp:
@@ -111,12 +105,7 @@ def _split_steps(values: np.ndarray, box: float, c2: float, rho2: float,
 
 def step(p: FieldProfile, c: Coupling, cfg: StepperConfig = DEFAULT_STEPPER) -> FieldProfile:
     """One Strang step of length cfg.dt on the periodic stepper grid."""
-    rp = _resampled_profile(p, cfg)
-    c2 = (c.value ** 2).real  # c^2 is real on both admissible rays
-    vals = _split_steps(rp.values, 2.0 * p.L, c2, _rho_sq(p), cfg.dt, 1,
-                        cfg.dealias, cfg.max_amp)
-    return FieldProfile(L=rp.L, h=rp.h, values=vals, asymptotics=rp.asymptotics,
-                        boundary_tol=rp.boundary_tol)
+    return evolve(p, c, cfg.dt, cfg)
 
 
 def evolve(p: FieldProfile, c: Coupling, t: float,
@@ -127,15 +116,13 @@ def evolve(p: FieldProfile, c: Coupling, t: float,
     rp = _resampled_profile(p, cfg)
     if t == 0:
         return rp
-    c2 = (c.value ** 2).real
+    c2 = (c.value ** 2).real  # c^2 is real on both admissible rays
     rho2 = _rho_sq(p)
     n_full = int(t / cfg.dt)
     rem = t - n_full * cfg.dt
-    vals = _split_steps(rp.values, 2.0 * p.L, c2, rho2, cfg.dt, n_full,
-                        cfg.dealias, cfg.max_amp)
+    vals = _split_steps(rp.values, 2.0 * p.L, c2, rho2, cfg.dt, n_full, cfg.max_amp)
     if rem > 1e-15 * max(t, 1.0):
-        vals = _split_steps(vals, 2.0 * p.L, c2, rho2, rem, 1,
-                            cfg.dealias, cfg.max_amp)
+        vals = _split_steps(vals, 2.0 * p.L, c2, rho2, rem, 1, cfg.max_amp)
     return FieldProfile(L=rp.L, h=rp.h, values=vals, asymptotics=rp.asymptotics,
                         boundary_tol=rp.boundary_tol)
 
@@ -155,10 +142,10 @@ def hamiltonian(p: FieldProfile, c: Coupling) -> float:
     return float(np.sum(dens.real) * p.h)
 
 
-def boundary_energy(p: FieldProfile, fraction: float = 0.05) -> float:
-    """max |q - asymptote| over the outer fraction of the grid; a wrap
+def boundary_energy(p: FieldProfile) -> float:
+    """max |q - asymptote| over the outer 5% of the grid at each end; a wrap
     monitor for radiation reaching the periodic boundary."""
-    n = max(2, int(fraction * len(p.values)))
+    n = max(2, int(0.05 * len(p.values)))
     left, right = p.edge_values()
     return float(max(np.max(np.abs(p.values[:n] - left)),
                      np.max(np.abs(p.values[-n:] - right))))
@@ -210,25 +197,24 @@ class DriftReport:
 
 def isospectral_check(p: FieldProfile, c: Coupling, t: float, kgrid: KGrid,
                       scfg: StepperConfig = DEFAULT_STEPPER,
-                      icfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-                      b_floor: float = 1e-3, upsample: int = 4) -> DriftReport:
+                      icfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> DriftReport:
     """Evolve to t, scatter both snapshots at the same coupling, and report
     max | |a(k;t)| - |a(k;0)| |  and  max |arg(b(k;t)/b(k;0)) + 4 k^2 t|
-    (mod 2 pi), the latter restricted to samples with |b| above b_floor.
+    (mod 2 pi), the latter restricted to samples with |b(k;0)| > 1e-3.
 
-    Snapshots are spectrally upsampled before scattering so the comparison
-    is not limited by the stepper grid."""
+    Snapshots are spectrally upsampled 4-fold before scattering so the
+    comparison is not limited by the stepper grid."""
     if not isinstance(p.asymptotics, Schwartz):
         raise NlsQuenchError("the drift check is defined for decaying profiles")
-    p0 = fft_upsample(_resampled_profile(p, scfg), upsample)
-    pt = fft_upsample(evolve(p, c, t, scfg), upsample)
+    p0 = fft_upsample(_resampled_profile(p, scfg), 4)
+    pt = fft_upsample(evolve(p, c, t, scfg), 4)
     k = kgrid.samples
     s0 = scattering_batch(p0, c, k, icfg)
     st = scattering_batch(pt, c, k, icfg)
     a0, at = s0[:, 1, 1], st[:, 1, 1]
     b0, bt = s0[:, 0, 1], st[:, 0, 1]
     amp = float(np.max(np.abs(np.abs(at) - np.abs(a0))))
-    mask = (np.abs(b0) > b_floor) & (np.abs(bt) > 0)
+    mask = (np.abs(b0) > 1e-3) & (np.abs(bt) > 0)
     if mask.any():
         raw = np.angle(bt[mask] / b0[mask]) + 4.0 * k[mask] ** 2 * t
         resid = np.abs((raw + np.pi) % (2.0 * np.pi) - np.pi)

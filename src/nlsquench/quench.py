@@ -9,7 +9,7 @@ against an independently computed S', never used to construct it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -49,10 +49,12 @@ PURE_RADIATION = "pure-radiation"
 
 
 def quench_map(p: FieldProfile, c: Coupling, c_new: Coupling, kgrid: KGrid,
-               cfg: IntegratorConfig = DEFAULT_INTEGRATOR, **scatter_kwargs) -> QuenchReport:
-    """Scattering data of one field at the old and new coupling."""
-    pre = scatter_grid(p, c, kgrid, cfg, **scatter_kwargs)
-    post = scatter_grid(p, c_new, kgrid, cfg, **scatter_kwargs)
+               cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
+               find_discrete: Optional[bool] = None) -> QuenchReport:
+    """Scattering data of one field at the old and new coupling
+    (find_discrete as in scatter_grid)."""
+    pre = scatter_grid(p, c, kgrid, cfg, find_discrete)
+    post = scatter_grid(p, c_new, kgrid, cfg, find_discrete)
     return QuenchReport(pre=pre, post=post)
 
 
@@ -89,21 +91,19 @@ class PostQuenchClassification:
         }
 
 
-def classify_post_quench(report: QuenchReport, nu_effective: Optional[float] = None,
-                         b_threshold: float = 1e-5) -> PostQuenchClassification:
-    """Sort the post-quench data into pure-multisoliton / soliton+radiation /
-    pure-radiation, and compare the found zero count with the one predicted
-    for a normalised single-soliton quench of strength nu_effective."""
+def classify_post_quench(report: QuenchReport) -> PostQuenchClassification:
+    """Sort the post-quench data into pure-multisoliton (max |b| < 1e-5) /
+    soliton+radiation / pure-radiation, and compare the found zero count
+    with the one predicted for a normalised single-soliton quench of
+    strength nu = |c'|."""
     post = report.post
-    if nu_effective is None:
-        nu_effective = abs(post.coupling.value)
     found = sum(z.order for z in post.discrete)
-    predicted = (predicted_zero_count(nu_effective)
+    predicted = (predicted_zero_count(abs(post.coupling.value))
                  if post.coupling.regime == "focusing" else 0)
     max_b = float(np.max(np.abs(post.b)))
     if found == 0:
         label = PURE_RADIATION
-    elif max_b < b_threshold:
+    elif max_b < 1e-5:
         label = PURE_MULTISOLITON
     else:
         label = SOLITON_RADIATION
@@ -245,16 +245,15 @@ class FactorizationReport:
 
 
 def verify_factorization(p: FieldProfile, c: Coupling, c_new: Coupling,
-                         kgrid: KGrid, x_samples: Optional[Sequence[float]] = None,
+                         kgrid: KGrid,
                          cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> FactorizationReport:
-    """max over x samples and the spectral grid of
+    """max over the spectral grid and 9 x samples evenly spaced on
+    [-L/2, L/2] (each moved to its nearest integrator node) of
     |Theta_-^dag(x) S(k) Theta_+(x) - S'(k)|, with S' scattered at the new
     coupling; also checks the boundary identities S Theta_+(left) = S' and
     Theta_-^dag(right) S = S'."""
     _require_theta_scope(p, c, c_new)
-    if x_samples is None:
-        x_samples = np.linspace(-p.L / 2.0, p.L / 2.0, 9)
-    x_samples = np.asarray(x_samples, dtype=float)
+    x_samples = np.linspace(-p.L / 2.0, p.L / 2.0, 9)
 
     k = kgrid.samples
     s_old = scattering_batch(p, c, k, cfg)

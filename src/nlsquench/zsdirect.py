@@ -24,7 +24,6 @@ from .core import (
     Coupling,
     DiscreteEigenvalue,
     FieldProfile,
-    FiniteDensity,
     KGrid,
     NlsQuenchError,
     ScatteringData,
@@ -70,7 +69,6 @@ class IntegratorConfig:
     """
 
     step: Optional[float] = None
-    det_guard: float = 1e-4
 
     def substeps(self, h: float) -> int:
         if self.step is None:
@@ -85,6 +83,9 @@ class IntegratorConfig:
 
 
 DEFAULT_INTEGRATOR = IntegratorConfig()
+
+# largest |det S - 1| a scattering matrix may show before DeterminantDrift
+_DET_GUARD = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +161,6 @@ class AsymptoticFrame:
     p_plus: np.ndarray
     p_minus: np.ndarray
 
-    def E(self, x: float, side: str) -> np.ndarray:
-        p = self.p_plus if side == "+" else self.p_minus
-        return p @ np.diag([np.exp(-1j * self.mu * x), np.exp(1j * self.mu * x)])
-
     def ode_residual(self, x: float, side: str, c: Coupling, asym) -> float:
         """max |E_x + (ik sigma3 - W_pm) E| via an exact derivative."""
         p = self.p_plus if side == "+" else self.p_minus
@@ -194,25 +191,19 @@ def _mu_branch(c: Coupling, asym, k):
     return np.sqrt(k - s) * np.sqrt(k + s)
 
 
-def asymptotic_frame(c: Coupling, asymptotics, k: complex,
-                     branch_tol: float = 1e-9) -> AsymptoticFrame:
-    """Frame matrices at one spectral point (complex k allowed)."""
+def asymptotic_frame(c: Coupling, asymptotics, k: complex) -> AsymptoticFrame:
+    """Frame matrices at one spectral point (complex k allowed): the
+    one-point view of _frame_arrays, with P+ = P- (P-^{-1} P+) rebuilt from
+    the product the transfer pass starts from.  BranchPoint is raised where
+    |mu| < 1e-9 (1 + |k|)."""
     k = complex(k)
-    if isinstance(asymptotics, Schwartz):
-        eye = np.eye(2, dtype=np.complex128)
-        return AsymptoticFrame(k=k, mu=k, p_plus=eye, p_minus=eye)
-    mu = complex(_mu_branch(c, asymptotics, k))
-    if abs(mu) < branch_tol * (1.0 + abs(k)):
-        raise BranchPoint(f"k = {k} sits at a branch point of mu")
-    rho, theta = asymptotics.rho, asymptotics.theta
-    beta = 1j * (mu - k) / (c.value * rho)
-    p_minus = np.array([[1.0, beta], [-beta, 1.0]], dtype=np.complex128)
-    p_plus = np.diag([np.exp(1j * theta / 2), np.exp(-1j * theta / 2)]) @ p_minus
-    return AsymptoticFrame(k=k, mu=mu, p_plus=p_plus, p_minus=p_minus)
+    mu, pm, _, core = _frame_arrays(c, asymptotics, np.array([k]))
+    return AsymptoticFrame(k=k, mu=complex(mu[0]), p_plus=pm[0] @ core[0], p_minus=pm[0])
 
 
 def _frame_arrays(c: Coupling, asym, k: np.ndarray):
-    """Vectorised frame pieces: mu (nk,), P-, P-^{-1}, P-^{-1} P+ (nk,2,2)."""
+    """Vectorised frame pieces: mu (nk,), P-, P-^{-1}, P-^{-1} P+ (nk,2,2);
+    BranchPoint where |mu| < 1e-9 (1 + |k|)."""
     nk = len(k)
     mu = _mu_branch(c, asym, k)
     if isinstance(asym, Schwartz):
@@ -528,23 +519,19 @@ def jost_plus(p: FieldProfile, c: Coupling, k: float,
 
 def scattering_matrix(p: FieldProfile, c: Coupling, k: float,
                       cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> np.ndarray:
-    """S(k) = lim_{x -> left end} E_-^{-1}(x) Psi+(x); det S = 1 up to
-    integrator drift (trace-free generator)."""
-    s, _ = _transfer_pass(p, c, np.array([k]), cfg)
-    s = s[0]
-    drift = abs(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0] - 1.0)
-    if drift > cfg.det_guard:
-        raise DeterminantDrift(f"det S drifted by {drift:.3e}")
-    return s
+    """S(k) at one real k; see scattering_batch."""
+    return scattering_batch(p, c, [k], cfg)[0]
 
 
 def scattering_batch(p: FieldProfile, c: Coupling, k: Sequence[float],
                      cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> np.ndarray:
-    """Vectorised scattering matrices, shape (nk, 2, 2)."""
+    """S(k) = lim_{x -> left end} E_-^{-1}(x) Psi+(x) at every k, shape
+    (nk, 2, 2).  det S = 1 up to integrator drift (trace-free generator);
+    DeterminantDrift is raised when max |det S - 1| exceeds 1e-4."""
     s, _ = _transfer_pass(p, c, np.asarray(k, dtype=float), cfg)
     det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
     drift = float(np.max(np.abs(det - 1.0)))
-    if drift > cfg.det_guard:
+    if drift > _DET_GUARD:
         raise DeterminantDrift(f"det S drifted by {drift:.3e}")
     return s
 
@@ -751,14 +738,12 @@ def default_zero_region(p: FieldProfile, c: Coupling,
 
 def scatter_grid(p: FieldProfile, c: Coupling, kgrid: KGrid,
                  cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-                 find_discrete: Optional[bool] = None,
-                 zero_region: Optional[Tuple[float, float, float, float]] = None,
-                 ) -> ScatteringData:
+                 find_discrete: Optional[bool] = None) -> ScatteringData:
     """a(k), b(k) on the grid plus the discrete spectrum.
 
     The zero search runs by default only where bound states can exist
     (focusing coupling, rapidly decreasing profile); pass find_discrete to
-    override.
+    override.  The search covers default_zero_region(p, c, kgrid).
     """
     p.validate()
     s = scattering_batch(p, c, kgrid.samples, cfg)
@@ -768,8 +753,7 @@ def scatter_grid(p: FieldProfile, c: Coupling, kgrid: KGrid,
         find_discrete = (c.regime == "focusing") and isinstance(p.asymptotics, Schwartz)
     zeros: List[DiscreteEigenvalue] = []
     if find_discrete:
-        region = zero_region or default_zero_region(p, c, kgrid)
-        zeros = find_zeros(p, c, region, cfg)
+        zeros = find_zeros(p, c, default_zero_region(p, c, kgrid), cfg)
     return ScatteringData(kgrid=kgrid, a=a, b=b, discrete=tuple(zeros), coupling=c)
 
 

@@ -224,3 +224,63 @@ def test_threads_flag_validated(tmp_path):
     cfg = _write(tmp_path, "cfg.json", SCATTER_CFG)
     assert main(["scatter", "--config", cfg, "--out", str(tmp_path / "r"),
                  "--threads", "0"]) == 1
+
+
+def test_non_finite_profile_exit_two(tmp_path):
+    # one NaN sample used to skip the whole integration (a = 1, b = 0) and
+    # one inf sample gave S = I, both with exit code 0
+    x = np.linspace(-10.0, 10.0, 201)
+    for bad in (np.nan, np.inf):
+        vals = 0.5 * np.exp(-x ** 2) + 0j
+        vals[100] = bad
+        prof = _write(tmp_path, "profile.json",
+                      {"L": 10.0, "h": 0.1, "asymptotics": {"kind": "schwartz"},
+                       "re": vals.real.tolist(), "im": vals.imag.tolist()})
+        cfg = _write(tmp_path, "cfg.json", {"profile": {"path": prof}})
+        out = tmp_path / f"run_{bad}"
+        assert main(["scatter", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "scattering.json").exists()
+
+
+def _radiative_data(tmp_path):
+    cfg = _write(tmp_path, "scfg.json",
+                 {"profile": {"builtin": "gaussian", "amp": 0.2, "L": 20.0, "n": 401},
+                  "coupling": {"re": 0.5},
+                  "kgrid": {"k_max": 4.0, "n": 61}})
+    out = str(tmp_path / "scatter_run")
+    assert main(["scatter", "--config", cfg, "--out", out]) == 0
+    return os.path.join(out, "scattering.json")
+
+
+def test_reconstruct_short_xgrid_exit_two(tmp_path):
+    data = _radiative_data(tmp_path)
+    for n in (0, 1, 8):
+        cfg = _write(tmp_path, "rcfg.json", {"profile": {"builtin": "zero"},
+                                             "data_path": data,
+                                             "xgrid": {"L": 4.0, "n": n}})
+        out = tmp_path / f"rec{n}"
+        assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "field.json").exists()
+
+
+def test_retired_config_keys_ignored(tmp_path):
+    # resolvent.eps, resolvent.neumann_terms and stepper.dealias are no
+    # longer read: configs that carry them write the same artifacts
+    data = _radiative_data(tmp_path)
+    rec = {"profile": {"builtin": "zero"}, "data_path": data,
+           "xgrid": {"L": 4.0, "n": 41}}
+    evo = {"profile": {"builtin": "sech", "L": 20.0, "n": 401, "boundary_tol": 1e-7},
+           "time": 0.01, "stepper": {"dt": 1e-3, "n_modes": 256}}
+    retired = [("reconstruct", rec, "field.json",
+                {"resolvent": {"eps": 0.05, "neumann_terms": 3}}),
+               ("evolve", evo, "final_profile.json",
+                {"stepper": {"dt": 1e-3, "n_modes": 256, "dealias": False}})]
+    for command, base, artifact, extra in retired:
+        written = []
+        for i, cfg in enumerate((base, {**base, **extra})):
+            path = _write(tmp_path, f"{command}{i}.json", cfg)
+            out = str(tmp_path / f"{command}{i}")
+            assert main([command, "--config", path, "--out", out]) == 0
+            with open(os.path.join(out, artifact), "rb") as f:
+                written.append(f.read())
+        assert written[0] == written[1]

@@ -203,3 +203,14 @@ def test_finite_density_serialization():
     back = FieldProfile.from_json_dict(p.to_json_dict())
     assert isinstance(back.asymptotics, FiniteDensity)
     assert back.asymptotics.rho == 1.0
+
+
+def test_non_finite_samples_rejected():
+    # a NaN or inf sample away from the grid ends used to pass validation
+    for bad in (np.nan, np.inf):
+        vals = np.zeros(64, dtype=complex)
+        vals[32] = bad
+        with pytest.raises(NlsQuenchError):
+            make_profile(vals, 10.0, Schwartz())
+        with pytest.raises(NlsQuenchError):
+            KGrid(np.array([-1.0, 0.0, 1.0, bad]))
