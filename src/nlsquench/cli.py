@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,17 +73,21 @@ def _profile_csv(path, p: FieldProfile):
                [p.x, p.values.real, p.values.imag, np.abs(p.values)])
 
 
-def _build_profile(spec) -> FieldProfile:
+def _build_profile(cfg) -> FieldProfile:
+    spec = cfg.get("profile")
+    if spec is None:
+        raise ConfigError("a profile block (or --builtin) is required")
+    tol = float(spec.get("boundary_tol", 1e-8))
     if "path" in spec:
         if not os.path.exists(spec["path"]):
             raise ConfigError(f"profile file {spec['path']!r} does not exist")
-        return FieldProfile.from_json_dict(load_json(spec["path"])).validate()
+        p = FieldProfile.from_json_dict(load_json(spec["path"]))
+        return replace(p, boundary_tol=tol).validate()
     kind = spec.get("builtin")
     if kind is None:
         raise ConfigError("profile needs either 'path' or 'builtin'")
     L = float(spec.get("L", 40.0))
     n = int(spec.get("n", 4001))
-    tol = float(spec.get("boundary_tol", 1e-8))
     x = np.linspace(-L, L, n)
     if kind == "zero":
         return make_profile(np.zeros(n, dtype=complex), L, Schwartz(), boundary_tol=tol)
@@ -139,7 +144,7 @@ def _finish(outdir, cfg, command, files):
 
 
 def cmd_scatter(cfg, args) -> int:
-    p = _build_profile(cfg["profile"])
+    p = _build_profile(cfg)
     c = _coupling(cfg["coupling"])
     kg = _kgrid(cfg.get("kgrid", {}), c, p)
     sd = scatter_grid(p, c, kg, _integrator(cfg.get("integrator")),
@@ -152,7 +157,7 @@ def cmd_scatter(cfg, args) -> int:
 
 
 def cmd_quench(cfg, args) -> int:
-    p = _build_profile(cfg["profile"])
+    p = _build_profile(cfg)
     c = _coupling(cfg["coupling"])
     c_new = _coupling(cfg["coupling_new"])
     kg = _kgrid(cfg.get("kgrid", {}), c, p)
@@ -175,7 +180,7 @@ def cmd_quench(cfg, args) -> int:
 
 
 def cmd_zeros(cfg, args) -> int:
-    p = _build_profile(cfg["profile"])
+    p = _build_profile(cfg)
     c = _coupling(cfg["coupling"])
     region = cfg.get("region")
     if region is None or len(region) != 4:
@@ -193,7 +198,7 @@ def cmd_zeros(cfg, args) -> int:
 
 
 def cmd_evolve(cfg, args) -> int:
-    p = _build_profile(cfg["profile"])
+    p = _build_profile(cfg)
     c = _coupling(cfg["coupling"])
     t_final = float(cfg.get("time", 1.0))
     scfg = _stepper(cfg.get("stepper"))
@@ -242,7 +247,7 @@ def cmd_reconstruct(cfg, args) -> int:
 
 
 def cmd_darboux(cfg, args) -> int:
-    p = _build_profile(cfg["profile"])
+    p = _build_profile(cfg)
     c = _coupling(cfg["coupling"])
     icfg = _integrator(cfg.get("integrator"))
     if "dual" in cfg:
@@ -271,7 +276,7 @@ def cmd_darboux(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
-    p = _build_profile(cfg["profile"])
+    p = _build_profile(cfg)
     c = _coupling(cfg["coupling"])
     icfg = _integrator(cfg.get("integrator"))
     report = {}
@@ -351,8 +356,6 @@ def main(argv=None) -> int:
             cfg = load_json(args.config)
         if args.builtin:
             cfg.setdefault("profile", {})["builtin"] = args.builtin
-        if "profile" not in cfg:
-            raise ConfigError("a profile block (or --builtin) is required")
         cfg.setdefault("coupling", {"re": 0.0, "im": 1.0})
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:

@@ -284,3 +284,48 @@ def test_retired_config_keys_ignored(tmp_path):
             with open(os.path.join(out, artifact), "rb") as f:
                 written.append(f.read())
         assert written[0] == written[1]
+
+
+def test_reconstruct_needs_no_profile_block(tmp_path):
+    data = _radiative_data(tmp_path)
+    base = {"data_path": data, "xgrid": {"L": 4.0, "n": 41}}
+    written = []
+    for i, cfg in enumerate((base, {**base, "profile": {"builtin": "zero"}})):
+        path = _write(tmp_path, f"rcfg{i}.json", cfg)
+        out = str(tmp_path / f"rec{i}")
+        assert main(["reconstruct", "--config", path, "--out", out]) == 0
+        with open(os.path.join(out, "field.json"), "rb") as f:
+            written.append(f.read())
+    assert written[0] == written[1]
+
+
+def test_profile_file_boundary_tol(tmp_path):
+    # a profile file is validated at the block's boundary_tol, as builtins are
+    x = np.linspace(-10.0, 10.0, 201)
+    vals = 0.5 * np.exp(-x ** 2) + 5e-8
+    prof = _write(tmp_path, "profile.json",
+                  {"L": 10.0, "h": 0.1, "asymptotics": {"kind": "schwartz"},
+                   "re": vals.tolist(), "im": np.zeros_like(x).tolist()})
+    for block, code in (({"path": prof, "boundary_tol": 1e-6}, 0), ({"path": prof}, 2)):
+        cfg = _write(tmp_path, "cfg.json", {"profile": block, "coupling": {"re": 0.5},
+                                            "kgrid": {"k_max": 3.0, "n": 31}})
+        out = tmp_path / f"run{code}"
+        assert main(["scatter", "--config", cfg, "--out", str(out)]) == code
+        assert (out / "scattering.json").exists() == (code == 0)
+
+
+def test_reconstruct_gapped_grid_exit_two(tmp_path):
+    # fd_dark data at c = 1 sit on a gapped k-grid, which has no Toeplitz kernel
+    cfg = _write(tmp_path, "scfg.json",
+                 {"profile": {"builtin": "fd_dark", "L": 15.0, "n": 1501,
+                              "boundary_tol": 1e-6},
+                  "coupling": {"re": 1.0}, "kgrid": {"k_max": 4.0, "n": 40},
+                  "find_discrete": False})
+    srun = str(tmp_path / "scatter_run")
+    assert main(["scatter", "--config", cfg, "--out", srun]) == 0
+    rcfg = _write(tmp_path, "rcfg.json",
+                  {"data_path": os.path.join(srun, "scattering.json"),
+                   "xgrid": {"L": 4.0, "n": 41}})
+    out = tmp_path / "rec"
+    assert main(["reconstruct", "--config", rcfg, "--out", str(out)]) == 2
+    assert not (out / "field.json").exists()

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+import glm_reference as ref
+from nlsquench import glm, zsdirect
+from nlsquench.closedforms import SolitonParamsFD, soliton_profile_fd_defocusing
 from nlsquench.core import Coupling, KGrid, NlsQuenchError, Schwartz, make_kgrid, make_profile
 from nlsquench.glm import (
+    NonUniformGrid,
     RadiativeData,
     ResolventConfig,
     SeriesDiverging,
@@ -170,3 +174,72 @@ def test_radiative_part_refuses_bound_states(sech25, focusing, fine_cfg):
     assert sd.discrete
     with pytest.raises(NlsQuenchError):
         radiative_part(sd)
+
+
+def test_singular_resolvent_guard_on_grid(gauss_data):
+    # the grid reconstruction runs the same conditioning guard as
+    # rosales_resummed
+    _, c, rd = gauss_data
+    with pytest.raises(SingularResolvent):
+        reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25), boundary_tol=1.0,
+                          cfg=ResolventConfig(cond_limit=1.0))
+
+
+def test_gmres_stall_raises(gauss_data, monkeypatch):
+    _, c, rd = gauss_data
+    monkeypatch.setattr(glm, "_GMRES_MAX_ITER", 2)
+    with pytest.raises(SingularResolvent):
+        rosales_resummed(rd, c, 0.0)
+
+
+@pytest.mark.parametrize("cv", [0.5, 0.5j])
+@pytest.mark.parametrize("t", [0.0, 0.4])
+def test_batched_routes_match_dense_reference(gauss_data, cv, t):
+    _, _, rd = gauss_data
+    c = Coupling(cv)
+    xs = np.linspace(-4.0, 4.0, 33)
+    for method, want in (("resolvent", ref.resolvent(rd, c, xs, t)),
+                         ("neumann", ref.neumann(rd, c, xs, 12, t))):
+        got = reconstruct_field(rd, c, xs, t=t, boundary_tol=1.0, method=method).values
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_strong_data_matches_dense_reference():
+    # |rho| up to 0.8 at c = 1: GMRES needs more iterations, same answer
+    k = np.linspace(-6.0, 6.0, 241)
+    c = Coupling(1.0)
+    rd = RadiativeData(kgrid=KGrid(k), rho=0.8 * np.exp(-k ** 2 + 0.5j * k), coupling=c)
+    xs = np.linspace(-5.0, 5.0, 21)
+    got = reconstruct_field(rd, c, xs, boundary_tol=np.inf).values
+    assert np.max(np.abs(got - ref.resolvent(rd, c, xs))) <= 1e-12
+
+
+@pytest.mark.parametrize("budget, sizes", [(8 * 201, (1, 7, 9)), (200, (1, 3))])
+def test_chunk_edges_match_dense_reference(gauss_data, monkeypatch, budget, sizes):
+    # blocks of 8 x points, and one x per block with the budget below N_k
+    _, c, rd = gauss_data
+    monkeypatch.setattr(zsdirect, "_CHUNK", budget)
+    for nx in sizes:
+        xs = np.linspace(-2.5, 3.0, nx)
+        for method, want in (("resolvent", ref.resolvent(rd, c, xs)),
+                             ("neumann", ref.neumann(rd, c, xs, 12))):
+            got = glm._field_values(rd, c, xs, 0.0, ResolventConfig(), method)
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_gapped_grid_raises_typed_error():
+    # fd_dark data at c = 1 sit on a grid with the forbidden gap cut out
+    par = SolitonParamsFD(rho=1.0, theta=np.pi / 2)
+    p = soliton_profile_fd_defocusing(par, np.linspace(-15.0, 15.0, 1501),
+                                      boundary_tol=1e-6)
+    c = Coupling(1.0)
+    kg = make_kgrid(c, p.asymptotics, 4.0, 40)
+    assert kg.gap is not None
+    rd = radiative_part(scatter_grid(p, c, kg, find_discrete=False))
+    for call in (lambda: reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25)),
+                 lambda: reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25),
+                                           method="neumann"),
+                 lambda: glm_neumann(rd, c, 0.0),
+                 lambda: rosales_resummed(rd, c, 0.0)):
+        with pytest.raises(NonUniformGrid):
+            call()
