@@ -356,7 +356,8 @@ def main(argv=None) -> int:
             cfg = load_json(args.config)
         if args.builtin:
             cfg.setdefault("profile", {})["builtin"] = args.builtin
-        cfg.setdefault("coupling", {"re": 0.0, "im": 1.0})
+        if args.command != "reconstruct":  # it reads coupling0 or the data's own
+            cfg.setdefault("coupling", {"re": 0.0, "im": 1.0})
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,8 +31,7 @@ from .zsdirect import (
     _adjoint,
     _as_array,
     _mul,
-    _oscillating_steps,
-    _phased,
+    _frame_steps,
     _propagate,
     _rk4_matrix,
     _rows,
@@ -178,6 +177,10 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     record = np.abs(np.asarray(keep, dtype=int) - start)  # steps to each kept node
     s = direction * h
     u = np.exp(1j * k * s)  # stage phases are 1, u, u^2 relative to the step start
+    q = _stages(q_nodes, q_mids, start, direction, 0, n - 1)
+    phi_steps, phases = _frame_steps(tuple(cv * v for v in q), tuple(cv * np.conj(v) for v in q),
+                                     (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), k,
+                                     xs[start + direction * np.arange(n - 1)], s)
 
     phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE)
     phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
@@ -186,10 +189,7 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     def build(i0, i1):
         """Theta's step matrices; Phi is carried along chunk by chunk."""
         nonlocal phi
-        q = _stages(q_nodes, q_mids, start, direction, i0, i1)
-        e = np.exp(2j * np.multiply.outer(xs[start + direction * np.arange(i0, i1)], k))
-        steps = _oscillating_steps([cv * v for v in q], [cv * np.conj(v) for v in q], u, s)
-        states = _mul(_scan(np.broadcast_arrays(*_phased(steps, e))), phi)
+        states = _mul(_scan(phi_steps(i0, i1)), phi)
         hit = (record > i0) & (record <= i1)
         phi_out[hit] = _as_array(_rows(states, record[hit] - i0 - 1))
         phi_j = tuple(np.concatenate([y[None], v[:-1]]) for y, v in zip(phi, states))
@@ -198,9 +198,10 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
         # generators are (c' - c) (X_i Phi_j)^dag Uhat_i (X_i Phi_j), with
         # Uhat = [[0, alpha], [alpha*, 0]] at the four stage points
         psi = phi_j
+        e = phases(i0, i1)
         gens = []
         for i, frac in zip((0, 1, 1, 2), (0.5, 0.5, 1.0, None)):
-            a = q[i][:, None] * e * (1.0, u, u * u)[i]
+            a = q[i][i0:i1, None] * e * (1.0, u, u * u)[i]
             up = (a * psi[2], a * psi[3], np.conj(a) * psi[0], np.conj(a) * psi[1])
             gens.append(tuple(dc * g for g in _mul(_adjoint(psi), up)))
             if frac is not None:

@@ -243,6 +243,17 @@ _CHUNK = 1 << 15  # elements per (steps x k) working array; steps go in chunks
 _EYE = (1.0, 0.0, 0.0, 1.0)
 
 
+def _chunk_steps(nk: int) -> int:
+    """Steps per chunk for nk spectral points."""
+    return max(1, _CHUNK // nk)
+
+
+def _unchecked():
+    """Overflow is diagnosed by the callers' isfinite checks, not by numpy
+    noise."""
+    return np.errstate(over="ignore", invalid="ignore")
+
+
 def _mul(a, b):
     """2x2 product a @ b of (m00, m01, m10, m11) entry tuples."""
     a00, a01, a10, a11 = a
@@ -307,9 +318,8 @@ def _propagate(build, nsteps: int, nk: int, y=_EYE, record=None):
         record = np.asarray(record, dtype=int)
         out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
         out[record == 0] = _as_array(y)
-    per = max(1, _CHUNK // nk)
-    # overflow is diagnosed by the callers' isfinite checks, not by numpy noise
-    with np.errstate(over="ignore", invalid="ignore"):
+    per = _chunk_steps(nk)
+    with _unchecked():
         for i0 in range(0, nsteps, per):
             i1 = min(i0 + per, nsteps)
             m = np.broadcast_arrays(*build(i0, i1))
@@ -334,56 +344,109 @@ def _rk4_matrix(gens, s: float):
     return _eye_plus(s / 6.0, acc)
 
 
-class _Laurent:
-    """sum_i coef[i] z^(low + i) in a per-spectral-point variable z with
-    per-step coefficients.  Generators with such entries have RK4 step
-    matrices with such entries: _rk4_matrix builds them, at() evaluates."""
+class _Poly:
+    """sum_i coef[i] z^i in a per-spectral-point variable z with per-step
+    coefficients.  Generators with such entries have RK4 step matrices with
+    such entries: _rk4_matrix builds them, at() evaluates."""
 
-    __array_ufunc__ = None  # ndarray * _Laurent defers to __rmul__
+    __array_ufunc__ = None  # ndarray * _Poly defers to __rmul__
 
-    def __init__(self, coef, low=0):
-        self.coef, self.low = list(coef), low
+    def __init__(self, coef):
+        self.coef = list(coef)
 
     def __add__(self, other):
-        other = other if isinstance(other, _Laurent) else _Laurent([other])
-        low = min(self.low, other.low)
-        coef = [0.0] * (max(self.low + len(self.coef), other.low + len(other.coef)) - low)
+        other = other if isinstance(other, _Poly) else _Poly([other])
+        coef = [0.0] * max(len(self.coef), len(other.coef))
         for poly in (self, other):
-            for i, c in enumerate(poly.coef, poly.low - low):
+            for i, c in enumerate(poly.coef):
                 coef[i] = coef[i] + c
-        return _Laurent(coef, low)
+        return _Poly(coef)
 
     def __mul__(self, other):
-        if not isinstance(other, _Laurent):
-            return 0.0 if np.isscalar(other) and other == 0 else _Laurent(
-                [other * c for c in self.coef], self.low)
+        if not isinstance(other, _Poly):
+            return 0.0 if np.isscalar(other) and other == 0 else _Poly(
+                [other * c for c in self.coef])
         coef = [0.0] * (len(self.coef) + len(other.coef) - 1)
         for i, a in enumerate(self.coef):
             for j, b in enumerate(other.coef):
                 coef[i + j] = coef[i + j] + a * b
-        return _Laurent(coef, self.low + other.low)
+        return _Poly(coef)
 
     __radd__, __rmul__ = __add__, __mul__
 
     def at(self, z):
         """Values (steps, nk) at z (nk,), as one (steps, n) @ (n, nk) product."""
         a = np.stack(np.broadcast_arrays(*self.coef), axis=1)
-        return a @ (z ** np.arange(self.low, self.low + len(self.coef))[:, None])
+        return a @ (z ** np.arange(len(self.coef))[:, None])
 
 
 def _column_steps(p, q, t, s: float):
     """Step matrices of Y' = [[0, p(x)], [q(x), t]] Y, with p and q at the
     (start, middle, end) of each step and t per spectral point."""
-    g = [(0.0, a, b, _Laurent([0.0, 1.0])) for a, b in zip(p, q)]
+    g = [(0.0, a, b, _Poly([0.0, 1.0])) for a, b in zip(p, q)]
     return tuple(e.at(t) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
 
 
-def _oscillating_steps(a, b, u, s: float):
-    """Step matrices of Y' = [[0, a(x) e^{2i mu x}], [b(x) e^{-2i mu x}, 0]] Y
-    relative to the step start x_j (restore e^{2i mu x_j} with _phased):
-    with u = e^{i mu s} the stage phases are 1, u, u^2."""
-    g = [(0.0, _Laurent([ai], i), _Laurent([bi], -i), 0.0) for i, (ai, bi) in enumerate(zip(a, b))]
-    return tuple(e.at(u) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
+def _frame_steps(d1, d2, a, b, mu, x, s: float):
+    """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
+    D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step).
+    d1, d2 hold the (start, middle, end) stage values of every step; A, B
+    are per-k entry tuples with A^2 = B^2 = 0 and AB + BA = I, so a stage
+    generator G_i squares to d1_i d2_i I.  By Cayley-Hamilton, with delta
+    = d1 d2 at the middle, the step is exactly I + s^2 delta/6 I + (s/6)(1 +
+    s^2 delta/2)(G_1 + G_3) + (2s/3) G_2 + (s^2/6)(G_2 G_1 + G_3 G_2) +
+    (s^4 delta/24) G_3 G_1: per-step scalars, tabulated once, times per-k
+    matrices (terms whose matrix vanishes at every k are dropped).  A chunk
+    is one BLAS product, with I added after it so that the product sums
+    only the O(s) terms.  The phases e^{2i mu x_j} are one exact exp per
+    chunk times a ramp table e^{2i mu s m}; a rotation folded from step to
+    step would accumulate rounding with the step count.
+
+    Returns (steps, phases): the step-matrix entries and the phases
+    e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk)."""
+    nk = len(mu)
+    u = np.exp(1j * mu * s)
+    with _unchecked():
+        delta = d1[1] * d2[1]
+        ends = (s / 6.0) * (1.0 + (s * s / 2.0) * delta)
+        # stage i: ((d1_i, d2_i), (A_i, B_i)); relative to the step start
+        # the stage phases are 1, u, u^2
+        gens = [((d1[i], d2[i]), tuple(_phased(m, ph) for m in (a, b)))
+                for i, ph in enumerate((1.0, u, u * u))]
+        coef, basis = [(s * s / 6.0) * delta], [_EYE]
+        for ((da, db), mats), w in zip(gens, (ends, 2.0 * s / 3.0, ends)):
+            coef += [w * da, w * db]
+            basis += mats
+        for left, right, w in ((1, 0, s * s / 6.0), (2, 1, s * s / 6.0),
+                               (2, 0, s ** 4 * delta / 24.0)):
+            for dl, ml in zip(*gens[left]):
+                for dr, mr in zip(*gens[right]):
+                    coef.append(w * dl * dr)
+                    basis.append(_mul(ml, mr))
+        coef = np.stack(coef, axis=1)  # (steps, 19)
+        basis = np.array([[np.broadcast_to(e, (nk,)) for e in m] for m in basis],
+                         dtype=np.complex128).reshape(len(basis), 4 * nk)
+        live = np.any(basis != 0.0, axis=1)  # A_i A_j and B_i B_j vanish for P = I
+        coef, basis = coef[:, live], basis[live]
+        span = np.arange(min(_chunk_steps(nk), len(x)))
+        ramp = np.exp(2j * np.multiply.outer(s * span, mu))
+        ramp_inv = np.exp(-2j * np.multiply.outer(s * span, mu))
+
+    def steps(i0, i1):
+        n = i1 - i0
+        m = (coef[i0:i1] @ basis).reshape(n, 4, nk)
+        m[:, 0] += 1.0
+        m[:, 1] *= ramp[:n]
+        m[:, 1] *= np.exp(2j * mu * x[i0])
+        m[:, 2] *= ramp_inv[:n]
+        m[:, 2] *= np.exp(-2j * mu * x[i0])
+        m[:, 3] += 1.0
+        return tuple(np.moveaxis(m, 1, 0))
+
+    def phases(i0, i1):
+        return np.exp(2j * mu * x[i0]) * ramp[:i1 - i0]
+
+    return steps, phases
 
 
 def _phased(m, e):
@@ -452,33 +515,17 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
         m = cfg.substeps(p.h)
         lo, hi = _support_bounds(p)
         j_lo, j_hi = lo * m, hi * m
-    s = -h
-    u = np.exp(1j * mu * s)
-
-    if isinstance(p.asymptotics, Schwartz):
-        def local(i0, i1):
-            return _oscillating_steps(_stages(*d1, j_hi, -1, i0, i1),
-                                      _stages(*d2, j_hi, -1, i0, i1), u, s)
-    else:
-        # G = D(x) (d1 A + d2 B) D(x)^{-1} with D = diag(e^{i mu x}, e^{-i mu x}),
-        # A = P^{-1} e12 P and B = P^{-1} e21 P; relative to the step start
-        # the stage phases are 1, u, u^2
-        e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-        a_mat, b_mat = _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm)
-
-        def local(i0, i1):
-            g = [_phased(tuple(x[:, None] * a + y[:, None] * b for a, b in zip(a_mat, b_mat)), ph)
-                 for x, y, ph in zip(_stages(*d1, j_hi, -1, i0, i1),
-                                     _stages(*d2, j_hi, -1, i0, i1), (1.0, u, u * u))]
-            return _rk4_matrix((g[0], g[1], g[1], g[2]), s)
-
-    def build(i0, i1):
-        x0 = xs[j_hi - np.arange(i0, i1)]
-        return _phased(local(i0, i1), np.exp(2j * np.multiply.outer(x0, mu)))
+    # G = D(x) (d1 A + d2 B) D(x)^{-1} with D = diag(e^{i mu x}, e^{-i mu x}),
+    # A = P^{-1} e12 P and B = P^{-1} e21 P (A = e12, B = e21 for rapid decay)
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    nsteps = j_hi - j_lo
+    build, _ = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
+                            _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu,
+                            xs[j_hi - np.arange(nsteps)], -h)
 
     # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there
     y0 = _phased(_entries(seed_core), np.exp(2j * mu * xs[j_hi]))
-    y, traj = _propagate(build, j_hi - j_lo, len(k), y0,
+    y, traj = _propagate(build, nsteps, len(k), y0,
                          record=np.arange(n) if collect else None)
     y = _as_array(y)
     if not np.isfinite(y).all():

@@ -299,6 +299,21 @@ def test_reconstruct_needs_no_profile_block(tmp_path):
     assert written[0] == written[1]
 
 
+def test_config_echo_coupling_only_where_read(tmp_path):
+    # reconstruct reads coupling0 or the data's own coupling (c = 0.5 here),
+    # so its echo carries no default coupling; scatter still defaults to c = i
+    data = _radiative_data(tmp_path)
+    rcfg = _write(tmp_path, "rcfg.json", {"data_path": data, "xgrid": {"L": 4.0, "n": 41}})
+    out = str(tmp_path / "rec")
+    assert main(["reconstruct", "--config", rcfg, "--out", out]) == 0
+    assert "coupling" not in load_json(os.path.join(out, "config.json"))
+    scfg = _write(tmp_path, "scfg_default.json",
+                  {k: v for k, v in SCATTER_CFG.items() if k != "coupling"})
+    out = str(tmp_path / "scat")
+    assert main(["scatter", "--config", scfg, "--out", out]) == 0
+    assert load_json(os.path.join(out, "config.json"))["coupling"] == {"re": 0.0, "im": 1.0}
+
+
 def test_profile_file_boundary_tol(tmp_path):
     # a profile file is validated at the block's boundary_tol, as builtins are
     x = np.linspace(-10.0, 10.0, 201)

@@ -8,7 +8,12 @@ import pytest
 import rk4_reference as ref
 from nlsquench import zsdirect
 from nlsquench.core import Coupling, FiniteDensity, Schwartz, make_profile
-from nlsquench.closedforms import SolitonParamsRD, soliton_profile_rd
+from nlsquench.closedforms import (
+    SolitonParamsFD,
+    SolitonParamsRD,
+    soliton_profile_fd_defocusing,
+    soliton_profile_rd,
+)
 from nlsquench.darboux import DarbouxStep, _columns_full, apply_bt
 from nlsquench.quench import _theta_pass, higher_level_theta
 from nlsquench.zsdirect import (
@@ -93,6 +98,60 @@ def test_theta_pass_matches_loop(sech10, direction):
     _, phi, th = _theta_pass(sech10, C, Coupling(2.1j), k, cfg, direction, keep=keep)
     assert _rel(phi, phi_ref[keep]) < RTOL
     assert _rel(th, th_ref[keep]) < RTOL
+
+
+# --- long grids: rounding that grows with the step count ----------------------
+
+@pytest.mark.parametrize("c", [Coupling(0.6), Coupling(1.3j)])
+def test_scattering_batch_long_sech_matches_loop(c):
+    p = soliton_profile_rd(SolitonParamsRD(A=1.0, V=0.3), grid(30.0, 0.02),
+                           boundary_tol=1e-3)
+    cfg = IntegratorConfig(step=0.01)  # 6000 steps
+    k = np.linspace(-5.0, 5.0, 41)
+    assert _rel(scattering_batch(p, c, k, cfg), ref.transfer(p, c, k, cfg)) < RTOL
+
+
+@pytest.mark.parametrize("step", [None, 0.0025])
+def test_scattering_batch_long_dark_soliton_matches_loop(step):
+    # 8000 native steps or 16000 refined ones, at k on both sides of the
+    # gap (-0.9, 0.9), down to 0.1 from its branch points
+    p = soliton_profile_fd_defocusing(SolitonParamsFD(rho=0.9, theta=1.94),
+                                      np.linspace(-20.0, 20.0, 8001), boundary_tol=1e-6)
+    cfg = IntegratorConfig(step=step)
+    k = np.array([-4.0, -2.0, -1.2, -1.0, 1.0, 1.2, 2.0, 4.0])
+    assert _rel(scattering_batch(p, Coupling(1.0), k, cfg),
+                ref.transfer(p, Coupling(1.0), k, cfg)) < RTOL
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_theta_pass_long_grid_matches_loop(direction):
+    # the 5000-step grid of a verify job (L = 25, h = 0.02, step 0.01), with
+    # the nodes verify_factorization keeps
+    p = soliton_profile_rd(SolitonParamsRD(A=1.0, V=0.3), grid(25.0, 0.02),
+                           boundary_tol=1e-8)
+    cfg = IntegratorConfig(step=0.01)
+    k = np.linspace(-5.0, 5.0, 5)
+    xs = zsdirect._working_samples(p, cfg)[0]
+    keep = [int(np.argmin(np.abs(xs - xv))) for xv in np.linspace(-12.5, 12.5, 9)]
+    keep = np.array(keep + [0, len(xs) - 1])
+    phi_ref, th_ref = ref.theta(p, C, Coupling(2.1j), k, cfg, direction)
+    _, phi, th = _theta_pass(p, C, Coupling(2.1j), k, cfg, direction, keep=keep)
+    assert _rel(phi, phi_ref[keep]) < RTOL
+    assert _rel(th, th_ref[keep]) < RTOL
+
+
+def test_jost_trajectory_finite_density_matches_loop():
+    x = grid(20.0, 0.05)
+    p = make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2), 20.0,
+                     FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+    c, kv, cfg = Coupling(1.0), 1.7, IntegratorConfig()
+    sol = jost_plus(p, c, kv, cfg)
+    y = ref.transfer(p, c, [kv], cfg, collect=True)[:, 0]
+    # Psi+ = P_- diag(e^{-i mu x}, e^{i mu x}) Y
+    mu, pm, _, _ = zsdirect._frame_arrays(c, p.asymptotics, np.array([kv + 0j]))
+    e = np.exp(-1j * mu[0] * sol.x)
+    want = pm[0] @ np.stack([e[:, None] * y[:, 0], y[:, 1] / e[:, None]], axis=1)
+    assert _rel(sol.samples, want) < RTOL
 
 
 # --- chunk edges --------------------------------------------------------------
