@@ -28,8 +28,8 @@ from .zsdirect import (
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
     IntegratorDiverged,
-    _adjoint,
     _as_array,
+    _chunk_steps,
     _mul,
     _frame_steps,
     _propagate,
@@ -178,37 +178,54 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     s = direction * h
     u = np.exp(1j * k * s)  # stage phases are 1, u, u^2 relative to the step start
     q = _stages(q_nodes, q_mids, start, direction, 0, n - 1)
+    # build holds about four times the chunk-sized arrays of a transfer
+    # step, so its chunks are a quarter as long; nk alone fixes their size,
+    # which keeps runs bit-identical
+    per = _chunk_steps(4 * nk)
     phi_steps, phases = _frame_steps(tuple(cv * v for v in q), tuple(cv * np.conj(v) for v in q),
                                      (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), k,
-                                     xs[start + direction * np.arange(n - 1)], s)
+                                     xs[start + direction * np.arange(n - 1)], s, per)
 
     phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE)
     phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
     phi_out[record == 0] = np.eye(2)
 
+    def generators(phi_j, i0, i1):
+        """Theta's stage generators over (c' - c) for steps i0..i1-1, from
+        Phi at the step starts.  The RK4 stage values of Phi are X_i Phi_j,
+        and the generators are (c' - c) H_i with H_i = (X_i Phi_j)^dag
+        Uhat_i (X_i Phi_j), Uhat = [[0, alpha], [alpha*, 0]] at the four
+        stage points.  H_i is Hermitian, its diagonal entries z + z*."""
+        e = phases(i0, i1)
+        alphas = [(a, np.conj(a)) for a in (q[0][i0:i1, None] * e, q[1][i0:i1, None] * e * u,
+                                            q[2][i0:i1, None] * e * (u * u))]
+        psi, hs = phi_j, []
+        for (a, ac), frac in zip((alphas[0], alphas[1], alphas[1], alphas[2]),
+                                 (0.5, 0.5, 1.0, None)):
+            up = (a * psi[2], a * psi[3], ac * psi[0], ac * psi[1])
+            p0 = np.conj(psi[0])
+            z, w = p0 * up[0], np.conj(psi[1]) * up[1]
+            off = p0 * up[1] + np.conj(psi[2]) * up[3]
+            hs.append((2.0 * z.real, off, np.conj(off), 2.0 * w.real))
+            if frac is not None:
+                psi = tuple(y + (frac * s * cv) * v for y, v in zip(phi_j, up))
+        return hs
+
     def build(i0, i1):
-        """Theta's step matrices; Phi is carried along chunk by chunk."""
+        """Theta's step matrices; Phi is carried along chunk by chunk, and
+        c' - c goes into the scalars of the RK4 combine.  generators runs
+        in its own frame so that its temporaries are freed before the
+        combine."""
         nonlocal phi
         states = _mul(_scan(phi_steps(i0, i1)), phi)
         hit = (record > i0) & (record <= i1)
         phi_out[hit] = _as_array(_rows(states, record[hit] - i0 - 1))
         phi_j = tuple(np.concatenate([y[None], v[:-1]]) for y, v in zip(phi, states))
-        phi = _rows(states, -1)
-        # the RK4 stage values of Phi are X_i Phi_j, and Theta's stage
-        # generators are (c' - c) (X_i Phi_j)^dag Uhat_i (X_i Phi_j), with
-        # Uhat = [[0, alpha], [alpha*, 0]] at the four stage points
-        psi = phi_j
-        e = phases(i0, i1)
-        gens = []
-        for i, frac in zip((0, 1, 1, 2), (0.5, 0.5, 1.0, None)):
-            a = q[i][i0:i1, None] * e * (1.0, u, u * u)[i]
-            up = (a * psi[2], a * psi[3], np.conj(a) * psi[0], np.conj(a) * psi[1])
-            gens.append(tuple(dc * g for g in _mul(_adjoint(psi), up)))
-            if frac is not None:
-                psi = tuple(y + (frac * s * cv) * v for y, v in zip(phi_j, up))
-        return _rk4_matrix(gens, s)
+        phi = tuple(v[-1].copy() for v in states)  # copies: states is freed here
+        del states
+        return _rk4_matrix(generators(phi_j, i0, i1), s * dc)
 
-    theta, theta_out = _propagate(build, n - 1, nk, record=record)
+    theta, theta_out = _propagate(build, n - 1, nk, record=record, per=per)
     if not all(np.isfinite(e).all() for e in phi + theta):
         raise IntegratorDiverged("dressing integration produced non-finite values")
     return xs, phi_out, theta_out

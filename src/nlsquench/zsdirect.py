@@ -270,10 +270,6 @@ def _eye_plus(a, m):
     return (1.0 + a * m[0], a * m[1], a * m[2], 1.0 + a * m[3])
 
 
-def _adjoint(m):
-    return (np.conj(m[0]), np.conj(m[2]), np.conj(m[1]), np.conj(m[3]))
-
-
 def _as_array(m):
     """Entry tuple -> array of shape (..., 2, 2)."""
     return np.stack([np.stack(m[:2], -1), np.stack(m[2:], -1)], -2)
@@ -307,18 +303,19 @@ def _scan(m):
     return out
 
 
-def _propagate(build, nsteps: int, nk: int, y=_EYE, record=None):
+def _propagate(build, nsteps: int, nk: int, y=_EYE, record=None, per=None):
     """Chain nsteps steps chunk by chunk from the state y (entries (nk,));
     build(i0, i1) gives the step matrices of steps i0..i1-1, entries
-    (i1 - i0, nk).  Returns the final state and the states after the step
-    counts in record, as (len(record), nk, 2, 2) (None without record)."""
+    (i1 - i0, nk), for chunks of per steps (default _chunk_steps(nk)).
+    Returns the final state and the states after the step counts in
+    record, as (len(record), nk, 2, 2) (None without record)."""
     y = tuple(np.broadcast_to(np.asarray(e, dtype=np.complex128), (nk,)) for e in y)
     out = None
     if record is not None:
         record = np.asarray(record, dtype=int)
         out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
         out[record == 0] = _as_array(y)
-    per = _chunk_steps(nk)
+    per = per or _chunk_steps(nk)
     with _unchecked():
         for i0 in range(0, nsteps, per):
             i1 = min(i0 + per, nsteps)
@@ -387,7 +384,7 @@ def _column_steps(p, q, t, s: float):
     return tuple(e.at(t) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
 
 
-def _frame_steps(d1, d2, a, b, mu, x, s: float):
+def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
     """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
     D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step).
     d1, d2 hold the (start, middle, end) stage values of every step; A, B
@@ -403,7 +400,8 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float):
     step would accumulate rounding with the step count.
 
     Returns (steps, phases): the step-matrix entries and the phases
-    e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk)."""
+    e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk), for chunks of at
+    most per steps (default _chunk_steps(nk))."""
     nk = len(mu)
     u = np.exp(1j * mu * s)
     with _unchecked():
@@ -428,7 +426,7 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float):
                          dtype=np.complex128).reshape(len(basis), 4 * nk)
         live = np.any(basis != 0.0, axis=1)  # A_i A_j and B_i B_j vanish for P = I
         coef, basis = coef[:, live], basis[live]
-        span = np.arange(min(_chunk_steps(nk), len(x)))
+        span = np.arange(min(per or _chunk_steps(nk), len(x)))
         ramp = np.exp(2j * np.multiply.outer(s * span, mu))
         ramp_inv = np.exp(-2j * np.multiply.outer(s * span, mu))
 

@@ -6,6 +6,10 @@ from nlsquench.closedforms import SolitonParamsRD, soliton_profile_rd
 from nlsquench.zsdirect import IntegratorConfig
 
 
+# np.trapezoid is numpy >= 2.0; on the numpy 1.x floor the rule is np.trapz
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
 def grid(L, h):
     n = int(round(2 * L / h)) + 1
     return np.linspace(-L, L, n)

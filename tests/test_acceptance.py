@@ -44,6 +44,7 @@ from nlsquench.zsdirect import (
     scatter_grid,
     scattering_batch,
 )
+from conftest import trapezoid
 
 
 def _report(num, name, **vals):
@@ -136,7 +137,7 @@ def test_criterion_03_free_limit(sech):
     x, q, h = sech.x, sech.values, sech.h
     # closed form against direct quadrature of the field transform
     form = np.array([ab_rapid(k, 0.0, 1.0)[1] for k in K201])
-    quad = np.array([-np.trapezoid(np.exp(2j * k * x) * q, dx=h) for k in K201])
+    quad = np.array([-trapezoid(np.exp(2j * k * x) * q, dx=h) for k in K201])
     form_err = float(np.max(np.abs(form - quad)))
     assert form_err < 1e-10
     # small-coupling scattering approaches the same limit at least linearly

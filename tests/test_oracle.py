@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
-from nlsquench.core import Coupling, NlsQuenchError, Schwartz, make_kgrid, make_profile
+import oracle_reference as ref
+from nlsquench.core import (
+    Coupling,
+    FiniteDensity,
+    NlsQuenchError,
+    Schwartz,
+    make_kgrid,
+    make_profile,
+)
 from nlsquench.oracle import (
     BlowUp,
     StepperConfig,
+    _resampled_profile,
     boundary_energy,
     evolve,
     fft_upsample,
@@ -103,6 +112,50 @@ def test_blow_up_guard(sech40, focusing):
     cfg = StepperConfig(dt=1e-3, n_modes=1024, max_amp=0.5)
     with pytest.raises(BlowUp):
         evolve(sech40, focusing, 0.1, cfg)
+
+
+def test_blow_up_checked_at_the_nonlinear_phase(sech40):
+    # a quench to c = 2i compresses the soliton, so max |q| grows from step
+    # to step.  max_amp sits between max |q| at the nonlinear phase of step
+    # 5 and at the end of step 5: a check after every step (the reference
+    # loop) trips at step 5, the check at the nonlinear phase at step 6
+    c, dt = Coupling(2j), 2.0 ** -8
+    cfg = StepperConfig(dt=dt, n_modes=1024)
+    box, c2 = 2.0 * sech40.L, (c.value ** 2).real
+    q4 = ref.split_steps(_resampled_profile(sech40, cfg).values, box, c2, 0.0, dt, 4)
+    # at c = 0 a step is linear only: half a step of dt is the first
+    # linear half-step of step 5
+    at_phase = np.max(np.abs(ref.split_steps(q4, box, 0.0, 0.0, dt / 2.0, 1)))
+    at_end = np.max(np.abs(ref.split_steps(q4, box, c2, 0.0, dt, 1)))
+    assert at_phase < at_end
+    cfg = StepperConfig(dt=dt, n_modes=1024, max_amp=0.5 * (at_phase + at_end))
+    with pytest.raises(BlowUp):
+        ref.evolve(sech40, c, 5 * dt, cfg)
+    evolve(sech40, c, 5 * dt, cfg)
+    with pytest.raises(BlowUp):
+        evolve(sech40, c, 6 * dt, cfg)
+
+
+# the two-FFT loop against the four-FFT reference loop.  Measured: 1e-16 at
+# 0 and 1 full steps; after 2048 steps 2.2e-12 (focusing, which amplifies
+# rounding), 1.5e-13 (defocusing), 2.7e-13 (finite density)
+_FD_X = grid(20.0, 0.05)
+
+
+@pytest.mark.parametrize("n_dt, tol", [(0.4, 1e-14), (1.0, 1e-14), (2048.0, 1e-11)],
+                         ids=["fraction", "one-step", "2048-steps"])
+@pytest.mark.parametrize("case", ["focusing", "defocusing", "finite-density"])
+def test_evolve_matches_reference_loop(sech40, case, n_dt, tol):
+    if case == "finite-density":
+        p = make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-_FD_X ** 2), 20.0,
+                         FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+        c = Coupling(1.0)
+    else:
+        p, c = sech40, Coupling(1.4j if case == "focusing" else 0.8)
+    cfg = StepperConfig(dt=2.0 ** -10, n_modes=1024)
+    t = n_dt * cfg.dt
+    want = ref.evolve(p, c, t, cfg)
+    assert np.max(np.abs(evolve(p, c, t, cfg).values - want)) < tol
 
 
 def test_boundary_monitor(sech40):
