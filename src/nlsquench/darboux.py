@@ -38,6 +38,7 @@ from .zsdirect import (
     _contour,
     _newton_zeros,
     _propagate,
+    _require_schwartz,
     find_zeros,
     default_zero_region,
     scatter_grid,
@@ -54,6 +55,11 @@ class RemoveNonexistentZero(NlsQuenchError):
 
 class HigherOrderZero(NlsQuenchError):
     pass
+
+
+class BoundStatesLost(NlsQuenchError):
+    """The data carry zeros of a(k), but the target coupling is not
+    focusing, so no field there has bound states to carry them."""
 
 
 MODE_ADD = "add"
@@ -263,14 +269,12 @@ def bt_data_effect(sd: ScatteringData, step: DarbouxStep) -> ScatteringData:
 
 def strip_solitons(p: FieldProfile, c: Coupling,
                    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
-                   kgrid: Optional[KGrid] = None,
                    ) -> Tuple[FieldProfile, List[DarbouxStep]]:
     """Remove every simple zero of a(k), largest Im k0 first, returning the
     purely radiative field and the steps taken (in order of application).
-    The zeros are searched in default_zero_region for kgrid (default: the
-    window [-5, 5])."""
-    ref = kgrid if kgrid is not None else KGrid(np.array([-5.0, 5.0]))
-    region = default_zero_region(p, c, ref)
+    The zeros are searched in default_zero_region for the window [-5, 5];
+    a remove step needs no mixing coefficient, so each keeps the default."""
+    region = default_zero_region(p, c, KGrid(np.array([-5.0, 5.0])))
     zeros = find_zeros(p, c, region, cfg)
     for z in zeros:
         if z.order > 1:
@@ -279,11 +283,7 @@ def strip_solitons(p: FieldProfile, c: Coupling,
     steps: List[DarbouxStep] = []
     current = p
     for z in zeros:
-        b0 = z.norming if z.norming is not None else 0.0
-        mu = b0 + 1.0
-        if abs(mu) < 0.1:
-            mu = b0 + 2.0
-        step = DarbouxStep(k0=z.position, mu_param=mu, mode=MODE_REMOVE)
+        step = DarbouxStep(k0=z.position, mode=MODE_REMOVE)
         current = apply_bt(current, c, step, cfg)
         steps.append(step)
     leftover = _contour(current, c, region)[0] if steps else 0
@@ -328,10 +328,14 @@ def dual_quench(p: FieldProfile, c: Coupling, c0: Coupling, kgrid: KGrid,
 
     When c/c0 is real and the regime is unchanged the map is exactly the
     rescaling q -> (c/c0) q, which is returned directly unless
-    exact_rescale=False forces the generic pipeline: strip the zeros at c,
-    rebuild the radiative part from rho at coupling c0 (resolvent route
-    with the default ResolventConfig, on a Nyquist-safe subgrid of p's grid,
-    spectrally upsampled), then re-add the zeros at c0.
+    exact_rescale=False forces the generic pipeline, on the data side:
+    scatter p once at c, divide each zero's Blaschke factor out of a(k)
+    (tallest first; a removal leaves b unchanged), rebuild that radiative
+    part at c0 (resolvent route, on a Nyquist-safe subgrid of p's grid,
+    spectrally upsampled), then dress it with each zero at c0 in reverse
+    order, with mixing coefficient 1/b0, so each keeps its norming constant
+    b0.  Zeros with a non-focusing c0 raise BoundStatesLost, and a zero of
+    order > 1 raises HigherOrderZero.
     """
     if c.value == 0 or c0.value == 0:
         raise NlsQuenchError("the field-side quench needs nonzero couplings")
@@ -346,17 +350,24 @@ def dual_quench(p: FieldProfile, c: Coupling, c0: Coupling, kgrid: KGrid,
                             asymptotics=p.asymptotics,
                             boundary_tol=max(p.boundary_tol * abs(ratio), 1e-12))
 
-    stripped, steps = strip_solitons(p, c, cfg, kgrid=kgrid)
-    sd_r = scatter_grid(stripped, c, kgrid, cfg, find_discrete=False)
-    rd = radiative_part(sd_r)
+    _require_schwartz(p, "the generic dual quench")
+    sd = scatter_grid(p, c, kgrid, cfg)
+    zeros = sorted(sd.discrete, key=lambda z: -z.position.imag)
+    if zeros and c0.regime != "focusing":
+        raise BoundStatesLost(
+            f"{len(zeros)} zero(s) of a(k) cannot be carried to the "
+            f"{c0.regime} coupling {c0.value}")
+    for z in zeros:
+        sd = bt_data_effect(sd, DarbouxStep(k0=z.position, mode=MODE_REMOVE))
+    rd = radiative_part(sd)
     k_max = float(np.max(np.abs(kgrid.samples)))
     m = _coarse_stride(p, k_max)
     coarse = reconstruct_field(rd, c0, p.x[::m], boundary_tol=0.05)
     vals = _upsample_to_grid(coarse.values, p, m)
     rebuilt = FieldProfile(L=p.L, h=p.h, values=vals,
                            asymptotics=Schwartz(), boundary_tol=0.05)
-    for step in reversed(steps):
-        add = DarbouxStep(k0=step.k0, mu_param=1.0, mode=MODE_ADD)
+    for z in reversed(zeros):
+        add = DarbouxStep(k0=z.position, mu_param=1.0 / z.norming, mode=MODE_ADD)
         rebuilt = apply_bt(rebuilt, c0, add, cfg=IntegratorConfig(),
                            boundary_tol=0.05)
     return rebuilt

@@ -27,6 +27,7 @@ from .core import (
     FieldProfile,
     KGrid,
     NlsQuenchError,
+    NonUniformGrid,
     ScatteringData,
     Schwartz,
     trapezoid_weights,
@@ -39,11 +40,6 @@ class SeriesDiverging(NlsQuenchError):
 
 class SingularResolvent(NlsQuenchError):
     pass
-
-
-class NonUniformGrid(NlsQuenchError):
-    """The k-grid is not uniform (a gapped finite-density grid, for one), so
-    the kernel has no Toeplitz form."""
 
 
 @dataclass(frozen=True)
@@ -76,26 +72,14 @@ def radiative_part(sd: ScatteringData) -> RadiativeData:
                          coupling=sd.coupling)
 
 
-@dataclass(frozen=True)
-class ResolventConfig:
-    """Limits of the two routes.  The Neumann sum stops after neumann_terms
-    iterated terms.  The resolvent route raises SingularResolvent when the
-    condition number of its GMRES Hessenberg matrix (a lower estimate of
-    the resolvent's) exceeds cond_limit, or when GMRES has not reached its
-    fixed relative residual of 1e-14 after 100 iterations."""
-
-    neumann_terms: int = 12
-    cond_limit: float = 1e12
-
-    def __post_init__(self):
-        if self.neumann_terms < 0:
-            raise NlsQuenchError("neumann_terms must be >= 0")
-
-
-DEFAULT_RESOLVENT = ResolventConfig()
-
-# the Neumann sum stops once a term falls below this fraction of the largest
+# the Neumann sum stops after this many iterated terms, or once a term
+# falls below _TERM_STOP of the largest
+_NEUMANN_TERMS = 12
 _TERM_STOP = 1e-12
+# the resolvent route raises SingularResolvent when the condition number of
+# its GMRES Hessenberg matrix (a lower estimate of the resolvent's) exceeds
+# this
+_COND_LIMIT = 1e12
 # GMRES stops at this relative residual; not reaching it within the
 # iteration cap counts as a singular resolvent
 _GMRES_TOL = 1e-14
@@ -172,12 +156,12 @@ class _ToeplitzKernel:
         return np.sum(self.quad * f2 * h, axis=1)
 
 
-def _neumann_block(op: _ToeplitzKernel, f2: np.ndarray, cfg: ResolventConfig) -> np.ndarray:
+def _neumann_block(op: _ToeplitzKernel, f2: np.ndarray) -> np.ndarray:
     """Iterated-kernel sum at every x of the block, term by term.
 
     Each x stops on its own once a term falls below 1e-12 of its largest
-    one; SeriesDiverging is raised as soon as the terms at any x keep
-    growing.
+    one, and every x after _NEUMANN_TERMS terms past the first;
+    SeriesDiverging is raised as soon as the terms at any x keep growing.
     """
     rows = f2.shape[0]
     h = np.ones(f2.shape, dtype=np.complex128)
@@ -189,7 +173,7 @@ def _neumann_block(op: _ToeplitzKernel, f2: np.ndarray, cfg: ResolventConfig) ->
     prev = np.full(rows, np.inf)
     growth = np.zeros(rows, dtype=int)
     live = np.arange(rows)
-    for n in range(cfg.neumann_terms + 1):
+    for n in range(_NEUMANN_TERMS + 1):
         term = op.scale * op.close(h, f2[live])
         mag = np.abs(term)
         total[live] += term
@@ -208,13 +192,13 @@ def _neumann_block(op: _ToeplitzKernel, f2: np.ndarray, cfg: ResolventConfig) ->
             )
         prev[live] = mag
         live, h = live[going], h[going]
-        if not live.size or n == cfg.neumann_terms:
+        if not live.size or n == _NEUMANN_TERMS:
             break
         h = op.apply(h, f2[live])
     return total
 
 
-def _gmres_block(op: _ToeplitzKernel, f2: np.ndarray, cfg: ResolventConfig) -> np.ndarray:
+def _gmres_block(op: _ToeplitzKernel, f2: np.ndarray) -> np.ndarray:
     """Solve (1 - C) h = 1 at every x of the block by unrestarted GMRES
     (Arnoldi with modified Gram-Schmidt, Givens rotations), all x together.
 
@@ -222,7 +206,7 @@ def _gmres_block(op: _ToeplitzKernel, f2: np.ndarray, cfg: ResolventConfig) -> n
     reached _GMRES_TOL; the iterations after it do not touch its rotated
     Hessenberg block.  Raises SingularResolvent when an x has not converged
     within the iteration cap or its Hessenberg condition number exceeds
-    cfg.cond_limit.
+    _COND_LIMIT.
     """
     rows, n = f2.shape
     beta = np.sqrt(n)
@@ -276,14 +260,14 @@ def _gmres_block(op: _ToeplitzKernel, f2: np.ndarray, cfg: ResolventConfig) -> n
         block = hess[sel, :m, :m]
         cond = np.linalg.cond(block) if np.isfinite(block).all() else np.inf
         worst = float(np.max(np.nan_to_num(cond, nan=np.inf)))
-        if worst > cfg.cond_limit:
+        if worst > _COND_LIMIT:
             raise SingularResolvent(f"resolvent condition number {worst:.3e}")
         y[sel, :m] = np.linalg.solve(block, rhs[sel, :m, None])[:, :, 0]
     return sum(y[:, i, None] * basis[i] for i in range(size))
 
 
 def _field_values(rd: RadiativeData, c0: Coupling, xs, t: float,
-                  cfg: ResolventConfig, method: str) -> np.ndarray:
+                  method: str) -> np.ndarray:
     """q(x, t) at every x of xs by the chosen route, in blocks of
     max(1, zsdirect._CHUNK // N_k) x points; the split depends only on the
     two sizes, so results are reproducible."""
@@ -296,42 +280,39 @@ def _field_values(rd: RadiativeData, c0: Coupling, xs, t: float,
     for s in range(0, len(xs), per):
         f2 = op.phases(xs[s:s + per])
         if method == "resolvent":
-            vals[s:s + per] = op.scale * op.close(_gmres_block(op, f2, cfg), f2)
+            vals[s:s + per] = op.scale * op.close(_gmres_block(op, f2), f2)
         else:
-            vals[s:s + per] = _neumann_block(op, f2, cfg)
+            vals[s:s + per] = _neumann_block(op, f2)
     return vals
 
 
-def glm_neumann(rd: RadiativeData, c0: Coupling, x: float,
-                cfg: ResolventConfig = DEFAULT_RESOLVENT, t: float = 0.0) -> complex:
+def glm_neumann(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0) -> complex:
     """q(x, t) by the iterated-kernel sum at one point: the batched Neumann
     route of reconstruct_field on a one-point x array (see _neumann_block
     for its stopping and divergence rules)."""
-    return complex(_field_values(rd, c0, [x], t, cfg, "neumann")[0])
+    return complex(_field_values(rd, c0, [x], t, "neumann")[0])
 
 
-def rosales_resummed(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0,
-                     cfg: ResolventConfig = DEFAULT_RESOLVENT) -> complex:
+def rosales_resummed(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0) -> complex:
     """q(x, t) by solving (1 - (c/c*) O-star O) h = f at one point: the
     batched GMRES route of reconstruct_field on a one-point x array, under
     the same convergence and conditioning guard."""
-    return complex(_field_values(rd, c0, [x], t, cfg, "resolvent")[0])
+    return complex(_field_values(rd, c0, [x], t, "resolvent")[0])
 
 
 def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
-                      t: float = 0.0, cfg: ResolventConfig = DEFAULT_RESOLVENT,
-                      boundary_tol: float = 1e-2, method: str = "resolvent") -> FieldProfile:
+                      t: float = 0.0, boundary_tol: float = 1e-2, method: str = "resolvent") -> FieldProfile:
     """Radiative field on a symmetric grid.  method="resolvent" solves the
     resolvent equation for every x at once by batched GMRES on the
     FFT-applied Toeplitz kernel and raises SingularResolvent under the
-    guard described at ResolventConfig; method="neumann" sums the iterated
+    guard described at _gmres_block; method="neumann" sums the iterated
     kernel under the stopping and divergence rules of glm_neumann.  The
     k-grid must be uniform (NonUniformGrid otherwise), and xgrid needs at
     least 16 points, as every FieldProfile does."""
     xgrid = np.asarray(xgrid, dtype=float)
     if len(xgrid) < 16:
         raise NlsQuenchError("reconstruction grid needs at least 16 points")
-    vals = _field_values(rd, c0, xgrid, t, cfg, method)
+    vals = _field_values(rd, c0, xgrid, t, method)
     return FieldProfile(L=-float(xgrid[0]), h=float(xgrid[1] - xgrid[0]),
                         values=vals, asymptotics=Schwartz(),
                         boundary_tol=boundary_tol).validate()

@@ -31,7 +31,6 @@ class BlowUp(NlsQuenchError):
 class StepperConfig:
     dt: float = 1e-4
     n_modes: int = 2048
-    max_amp: float = 1e6
 
     def __post_init__(self):
         if not self.dt > 0:
@@ -42,6 +41,9 @@ class StepperConfig:
 
 
 DEFAULT_STEPPER = StepperConfig()
+
+# evolve raises BlowUp once max |q| exceeds this
+_MAX_AMP = 1e6
 
 
 def _stepper_grid(p: FieldProfile, cfg: StepperConfig):
@@ -137,9 +139,9 @@ def evolve(p: FieldProfile, c: Coupling, t: float,
     rho2 = _rho_sq(p)
     n_full = int(t / cfg.dt)
     rem = t - n_full * cfg.dt
-    vals = _split_steps(rp.values, 2.0 * p.L, c2, rho2, cfg.dt, n_full, cfg.max_amp)
+    vals = _split_steps(rp.values, 2.0 * p.L, c2, rho2, cfg.dt, n_full, _MAX_AMP)
     if rem > 1e-15 * max(t, 1.0):
-        vals = _split_steps(vals, 2.0 * p.L, c2, rho2, rem, 1, cfg.max_amp)
+        vals = _split_steps(vals, 2.0 * p.L, c2, rho2, rem, 1, _MAX_AMP)
     return FieldProfile(L=rp.L, h=rp.h, values=vals, asymptotics=rp.asymptotics,
                         boundary_tol=rp.boundary_tol)
 

@@ -4,6 +4,7 @@ the blow-up check on max |q| after the step."""
 
 import numpy as np
 
+from nlsquench import oracle
 from nlsquench.oracle import BlowUp, _resampled_profile, _rho_sq
 
 
@@ -24,12 +25,13 @@ def split_steps(values, box, c2, rho2, dt, n_steps, max_amp=np.inf):
 
 def evolve(p, c, t, cfg):
     """Values of oracle.evolve(p, c, t, cfg).values from the loop above:
-    full steps of dt, then one fractional step."""
+    full steps of dt, then one fractional step, under the same blow-up
+    bound oracle._MAX_AMP."""
     rp = _resampled_profile(p, cfg)
     c2 = (c.value ** 2).real
     n_full = int(t / cfg.dt)
     rem = t - n_full * cfg.dt
-    vals = split_steps(rp.values, 2.0 * p.L, c2, _rho_sq(p), cfg.dt, n_full, cfg.max_amp)
+    vals = split_steps(rp.values, 2.0 * p.L, c2, _rho_sq(p), cfg.dt, n_full, oracle._MAX_AMP)
     if rem > 1e-15 * max(t, 1.0):
-        vals = split_steps(vals, 2.0 * p.L, c2, _rho_sq(p), rem, 1, cfg.max_amp)
+        vals = split_steps(vals, 2.0 * p.L, c2, _rho_sq(p), rem, 1, oracle._MAX_AMP)
     return vals

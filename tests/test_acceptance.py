@@ -29,7 +29,6 @@ from nlsquench.closedforms import (
 )
 from nlsquench.darboux import DarbouxStep, apply_bt, dual_quench
 from nlsquench.glm import (
-    ResolventConfig,
     glm_neumann,
     radiative_part,
     reconstruct_field,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlsquench.cli import main
-from nlsquench.core import load_json
+from nlsquench.core import Schwartz, dump_json, load_json, make_profile
 
 
 def _write(tmp_path, name, payload):
@@ -189,6 +189,23 @@ def test_darboux_command(tmp_path):
     vals = np.array(prof["re"]) + 1j * np.array(prof["im"])
     x = np.linspace(-25, 25, 1251)
     assert np.max(np.abs(np.abs(vals) - 1 / np.cosh(x))) < 1e-10
+
+
+def test_darboux_dual_with_zeros_to_defocusing_fails(tmp_path):
+    # the focusing gaussian carries one zero of a(k), which no field at the
+    # defocusing target coupling can carry: a numerical failure, exit 2
+    x = np.linspace(-25.0, 25.0, 2501)
+    p = make_profile(np.exp(-x ** 2 / 2) * np.exp(0.2j * x), 25.0, Schwartz(),
+                     boundary_tol=1e-10)
+    prof = str(tmp_path / "profile.json")
+    dump_json(p.to_json_dict(), prof)
+    cfg = {"profile": {"path": prof, "boundary_tol": 1e-10}, "coupling": {"im": 1.0},
+           "integrator": {"step": 0.01},
+           "dual": {"coupling0": {"re": 0.5}, "kgrid": {"k_max": 6.0, "n": 241}}}
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "run")
+    assert main(["darboux", "--config", path, "--out", out]) == 2
+    assert not os.path.exists(os.path.join(out, "result_profile.json"))
 
 
 def test_verify_zero_field_passes(tmp_path):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import glm_reference as ref
-from nlsquench import glm, zsdirect
+from nlsquench import core, glm, zsdirect
 from nlsquench.closedforms import SolitonParamsFD, soliton_profile_fd_defocusing
 from nlsquench.core import Coupling, KGrid, NlsQuenchError, Schwartz, make_kgrid, make_profile
 from nlsquench.glm import (
     NonUniformGrid,
     RadiativeData,
-    ResolventConfig,
     SeriesDiverging,
     SingularResolvent,
     f_kernel,
@@ -68,14 +67,15 @@ def test_zero_data_reconstructs_zero():
     assert rosales_resummed(rd, Coupling(0.5), 0.3) == 0.0
 
 
-def test_born_term_is_plain_transform(gauss_data):
+def test_born_term_is_plain_transform(gauss_data, monkeypatch):
     _, c, rd = gauss_data
+    monkeypatch.setattr(glm, "_NEUMANN_TERMS", 0)
     k = rd.kgrid.samples
     dk = k[1] - k[0]
     w = np.full_like(k, dk)
     w[0] = w[-1] = dk / 2
     for x in (0.0, 0.8):
-        born = glm_neumann(rd, c, x, ResolventConfig(neumann_terms=0))
+        born = glm_neumann(rd, c, x)
         quad = -2.0 / c.value * np.sum(w / (2 * np.pi) * rd.rho * np.exp(-2j * k * x))
         assert abs(born - quad) < 1e-14
 
@@ -162,10 +162,11 @@ def test_series_divergence_detected_on_grid():
                           boundary_tol=np.inf, method="neumann")
 
 
-def test_singular_resolvent_guard(gauss_data):
+def test_singular_resolvent_guard(gauss_data, monkeypatch):
     _, c, rd = gauss_data
+    monkeypatch.setattr(glm, "_COND_LIMIT", 1.0)
     with pytest.raises(SingularResolvent):
-        rosales_resummed(rd, c, 0.0, cfg=ResolventConfig(cond_limit=1.0))
+        rosales_resummed(rd, c, 0.0)
 
 
 def test_radiative_part_refuses_bound_states(sech25, focusing, fine_cfg):
@@ -176,13 +177,13 @@ def test_radiative_part_refuses_bound_states(sech25, focusing, fine_cfg):
         radiative_part(sd)
 
 
-def test_singular_resolvent_guard_on_grid(gauss_data):
+def test_singular_resolvent_guard_on_grid(gauss_data, monkeypatch):
     # the grid reconstruction runs the same conditioning guard as
     # rosales_resummed
     _, c, rd = gauss_data
+    monkeypatch.setattr(glm, "_COND_LIMIT", 1.0)
     with pytest.raises(SingularResolvent):
-        reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25), boundary_tol=1.0,
-                          cfg=ResolventConfig(cond_limit=1.0))
+        reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25), boundary_tol=1.0)
 
 
 def test_gmres_stall_raises(gauss_data, monkeypatch):
@@ -223,7 +224,7 @@ def test_chunk_edges_match_dense_reference(gauss_data, monkeypatch, budget, size
         xs = np.linspace(-2.5, 3.0, nx)
         for method, want in (("resolvent", ref.resolvent(rd, c, xs)),
                              ("neumann", ref.neumann(rd, c, xs, 12))):
-            got = glm._field_values(rd, c, xs, 0.0, ResolventConfig(), method)
+            got = glm._field_values(rd, c, xs, 0.0, method)
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -243,3 +244,7 @@ def test_gapped_grid_raises_typed_error():
                  lambda: rosales_resummed(rd, c, 0.0)):
         with pytest.raises(NonUniformGrid):
             call()
+    # one exception class for every non-uniform grid: the profile-grid
+    # handler catches the k-grid failure too
+    with pytest.raises(core.NonUniformGrid):
+        reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25))

@@ -10,6 +10,7 @@ from nlsquench.core import (
     make_kgrid,
     make_profile,
 )
+from nlsquench import oracle
 from nlsquench.oracle import (
     BlowUp,
     StepperConfig,
@@ -108,15 +109,16 @@ def test_single_step_matches_evolve(sech40, focusing, cfg_fast):
     assert np.max(np.abs(s1.values - s2.values)) < 1e-14
 
 
-def test_blow_up_guard(sech40, focusing):
-    cfg = StepperConfig(dt=1e-3, n_modes=1024, max_amp=0.5)
+def test_blow_up_guard(sech40, focusing, monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_AMP", 0.5)
+    cfg = StepperConfig(dt=1e-3, n_modes=1024)
     with pytest.raises(BlowUp):
         evolve(sech40, focusing, 0.1, cfg)
 
 
-def test_blow_up_checked_at_the_nonlinear_phase(sech40):
+def test_blow_up_checked_at_the_nonlinear_phase(sech40, monkeypatch):
     # a quench to c = 2i compresses the soliton, so max |q| grows from step
-    # to step.  max_amp sits between max |q| at the nonlinear phase of step
+    # to step.  _MAX_AMP sits between max |q| at the nonlinear phase of step
     # 5 and at the end of step 5: a check after every step (the reference
     # loop) trips at step 5, the check at the nonlinear phase at step 6
     c, dt = Coupling(2j), 2.0 ** -8
@@ -128,7 +130,7 @@ def test_blow_up_checked_at_the_nonlinear_phase(sech40):
     at_phase = np.max(np.abs(ref.split_steps(q4, box, 0.0, 0.0, dt / 2.0, 1)))
     at_end = np.max(np.abs(ref.split_steps(q4, box, c2, 0.0, dt, 1)))
     assert at_phase < at_end
-    cfg = StepperConfig(dt=dt, n_modes=1024, max_amp=0.5 * (at_phase + at_end))
+    monkeypatch.setattr(oracle, "_MAX_AMP", 0.5 * (at_phase + at_end))
     with pytest.raises(BlowUp):
         ref.evolve(sech40, c, 5 * dt, cfg)
     evolve(sech40, c, 5 * dt, cfg)
