@@ -39,7 +39,7 @@ from .core import (
 from .darboux import DarbouxStep, apply_bt, dual_quench
 from .glm import radiative_part, reconstruct_field
 from .oracle import StepperConfig, evolve, isospectral_check
-from .quench import classify_post_quench, quench_map, verify_factorization
+from .quench import _factorization, classify_post_quench, quench_map, verify_factorization
 from .zsdirect import IntegratorConfig, find_zeros, scatter_grid
 
 __version__ = "0.1.0"
@@ -168,7 +168,7 @@ def cmd_quench(cfg, args) -> int:
     payload["classification"] = cls.to_json_dict()
     files = ["quench.json", "pre.csv", "post.csv"]
     if cfg.get("factorization"):
-        fac = verify_factorization(p, c, c_new, kg, cfg=icfg)
+        fac = _factorization(p, report, icfg)  # no second scatter
         payload["factorization_residual"] = fac.max_residual
         payload["factorization"] = fac.to_json_dict()
     out = _outdir(args)

@@ -272,8 +272,13 @@ def strip_solitons(p: FieldProfile, c: Coupling,
                    ) -> Tuple[FieldProfile, List[DarbouxStep]]:
     """Remove every simple zero of a(k), largest Im k0 first, returning the
     purely radiative field and the steps taken (in order of application).
-    The zeros are searched in default_zero_region for the window [-5, 5];
-    a remove step needs no mixing coefficient, so each keeps the default."""
+    The zeros are searched in default_zero_region for the window [-5, 5],
+    and only at a focusing coupling: a rapidly decreasing field has none
+    elsewhere.  A remove step needs no mixing coefficient, so each keeps
+    the default."""
+    _require_schwartz(p, "zero search")
+    if c.regime != "focusing":
+        return p, []
     region = default_zero_region(p, c, KGrid(np.array([-5.0, 5.0])))
     zeros = find_zeros(p, c, region, cfg)
     for z in zeros:

@@ -46,6 +46,8 @@ PURE_MULTISOLITON = "pure-multisoliton"
 SOLITON_RADIATION = "soliton+radiation"
 PURE_RADIATION = "pure-radiation"
 
+_SU2 = -1.0  # the involution sign of focusing (and zero) couplings
+
 
 def quench_map(p: FieldProfile, c: Coupling, c_new: Coupling, kgrid: KGrid,
                cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
@@ -158,7 +160,9 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
                 keep: Optional[np.ndarray] = None):
     """Joint RK4 integration of Phi (auxiliary problem at coupling c, in the
     e^{ik sigma3 x} gauge) and Theta with generator (c'-c) Phi^dag What Phi,
-    from one end of the grid to the other.
+    from one end of the grid to the other.  Both couplings are focusing or
+    zero, so Phi and Theta lie in SU(2) and are carried as their first rows
+    (zsdirect._mul with sigma = -1).
 
     direction=+1 integrates upward from the left end (Theta_-);
     direction=-1 integrates downward from the right end (Theta_+).
@@ -184,48 +188,46 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     per = _chunk_steps(4 * nk)
     phi_steps, phases = _frame_steps(tuple(cv * v for v in q), tuple(cv * np.conj(v) for v in q),
                                      (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), k,
-                                     xs[start + direction * np.arange(n - 1)], s, per)
+                                     xs[start + direction * np.arange(n - 1)], s, per, _SU2)
 
-    phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE)
+    phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE[:2])
     phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
     phi_out[record == 0] = np.eye(2)
 
     def generators(phi_j, i0, i1):
-        """Theta's stage generators over (c' - c) for steps i0..i1-1, from
-        Phi at the step starts.  The RK4 stage values of Phi are X_i Phi_j,
-        and the generators are (c' - c) H_i with H_i = (X_i Phi_j)^dag
-        Uhat_i (X_i Phi_j), Uhat = [[0, alpha], [alpha*, 0]] at the four
-        stage points.  H_i is Hermitian, its diagonal entries z + z*."""
+        """Theta's stage generators for steps i0..i1-1, from Phi at the step
+        starts.  The RK4 stage values of Phi are X_i Phi_j = [[al, be],
+        [-be*, al*]], and the generators are (c' - c) H_i with H_i = (X_i
+        Phi_j)^dag Uhat_i (X_i Phi_j), Uhat = [[0, a], [a*, 0]] at the four
+        stage points: H_i = [[-h, off], [off*, h]] with t = a al*, v = a be*,
+        h = 2 Re(v al*) and off = t al* - v* be.  Uhat X_i Phi_j has the
+        first row (-v, t)."""
         e = phases(i0, i1)
-        alphas = [(a, np.conj(a)) for a in (q[0][i0:i1, None] * e, q[1][i0:i1, None] * e * u,
-                                            q[2][i0:i1, None] * e * (u * u))]
-        psi, hs = phi_j, []
-        for (a, ac), frac in zip((alphas[0], alphas[1], alphas[1], alphas[2]),
-                                 (0.5, 0.5, 1.0, None)):
-            up = (a * psi[2], a * psi[3], ac * psi[0], ac * psi[1])
-            p0 = np.conj(psi[0])
-            z, w = p0 * up[0], np.conj(psi[1]) * up[1]
-            off = p0 * up[1] + np.conj(psi[2]) * up[3]
-            hs.append((2.0 * z.real, off, np.conj(off), 2.0 * w.real))
+        alphas = (q[0][i0:i1, None] * e, q[1][i0:i1, None] * e * u,
+                  q[2][i0:i1, None] * e * (u * u))
+        (al, be), gens = phi_j, []
+        for a, frac in zip((alphas[0], alphas[1], alphas[1], alphas[2]), (0.5, 0.5, 1.0, None)):
+            alc = np.conj(al)
+            t, v = a * alc, a * np.conj(be)
+            gens.append((-2.0 * dc * (v * alc).real, dc * (t * alc - np.conj(v) * be)))
             if frac is not None:
-                psi = tuple(y + (frac * s * cv) * v for y, v in zip(phi_j, up))
-        return hs
+                al, be = phi_j[0] - (frac * s * cv) * v, phi_j[1] + (frac * s * cv) * t
+        return gens
 
     def build(i0, i1):
-        """Theta's step matrices; Phi is carried along chunk by chunk, and
-        c' - c goes into the scalars of the RK4 combine.  generators runs
-        in its own frame so that its temporaries are freed before the
-        combine."""
+        """Theta's step matrices; Phi is carried along chunk by chunk.
+        generators runs in its own frame so that its temporaries are freed
+        before the combine."""
         nonlocal phi
-        states = _mul(_scan(phi_steps(i0, i1)), phi)
+        states = _mul(_scan(phi_steps(i0, i1), _SU2), phi, _SU2)
         hit = (record > i0) & (record <= i1)
-        phi_out[hit] = _as_array(_rows(states, record[hit] - i0 - 1))
+        phi_out[hit] = _as_array(_rows(states, record[hit] - i0 - 1), _SU2)
         phi_j = tuple(np.concatenate([y[None], v[:-1]]) for y, v in zip(phi, states))
         phi = tuple(v[-1].copy() for v in states)  # copies: states is freed here
         del states
-        return _rk4_matrix(generators(phi_j, i0, i1), s * dc)
+        return _rk4_matrix(generators(phi_j, i0, i1), s, _SU2)
 
-    theta, theta_out = _propagate(build, n - 1, nk, record=record, per=per)
+    theta, theta_out = _propagate(build, n - 1, nk, record=record, per=per, sigma=_SU2)
     if not all(np.isfinite(e).all() for e in phi + theta):
         raise IntegratorDiverged("dressing integration produced non-finite values")
     return xs, phi_out, theta_out
@@ -271,11 +273,24 @@ def verify_factorization(p: FieldProfile, c: Coupling, c_new: Coupling,
     coupling; also checks the boundary identities S Theta_+(left) = S' and
     Theta_-^dag(right) S = S'."""
     _require_theta_scope(p, c, c_new)
-    x_samples = np.linspace(-p.L / 2.0, p.L / 2.0, 9)
+    data = []
+    for cc in (c, c_new):
+        s = scattering_batch(p, cc, kgrid.samples, cfg)
+        data.append(ScatteringData(kgrid=kgrid, a=s[:, 1, 1], b=s[:, 0, 1], coupling=cc))
+    return _factorization(p, QuenchReport(*data), cfg)
 
-    k = kgrid.samples
-    s_old = scattering_batch(p, c, k, cfg)
-    s_new = scattering_batch(p, c_new, k, cfg)
+
+def _factorization(p: FieldProfile, report: QuenchReport,
+                   cfg: IntegratorConfig) -> FactorizationReport:
+    """verify_factorization on data already scattered (quench_map's): on a
+    rapidly decreasing profile scattering_batch's S is [[a*, b], [sigma b*,
+    a]] bit for bit, so a and b rebuild it exactly."""
+    c, c_new = report.pre.coupling, report.post.coupling
+    _require_theta_scope(p, c, c_new)
+    x_samples = np.linspace(-p.L / 2.0, p.L / 2.0, 9)
+    k = report.pre.kgrid.samples
+    s_old = report.pre.assembled_matrices()
+    s_new = report.post.assembled_matrices()
 
     # record Theta only at the sample nodes and the two grid ends
     xs_probe, _, _, _ = _working_samples(p, cfg)

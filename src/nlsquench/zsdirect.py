@@ -6,10 +6,14 @@ The transfer matrix is integrated in the frame of the left asymptotic
 solution, so the oscillating factors e^{+-2i mu x} sit inside the coupling
 terms and fixed-step RK4 stays accurate.  All RK4 integrations of the
 package run through one linear propagator (step matrices chained by tree
-products and prefix scans), defined here.  The same machinery provides the
-analytic continuation of a(k) into the upper half-plane (as a determinant
-of the two decaying Jost columns) and a search for its zeros by the moments
-of one contour.
+products and prefix scans), defined here.  On a rapidly decreasing profile
+at real k the step matrices, their products and S obey the reality
+involution [[alpha, beta], [sigma beta*, alpha*]], sigma = c*/c, and the
+transfer pass carries only (alpha, beta); finite-density passes, complex k
+and the dressing columns keep all four entries.  The same machinery
+provides the analytic continuation of a(k) into the upper half-plane (as a
+determinant of the two decaying Jost columns) and a search for its zeros by
+the moments of one contour.
 """
 
 from __future__ import annotations
@@ -237,6 +241,12 @@ def _frame_arrays(c: Coupling, asym, k: np.ndarray):
 # are built vectorised over (steps, k), each 2x2 entry its own array, and
 # combined by an ordered tree product (end values) or a prefix scan
 # (trajectories): the scheme of the step-by-step loop, rounded differently.
+#
+# Where G lies in the real algebra {[[alpha, beta], [sigma beta*, alpha*]]}
+# (sigma = +-1) at every x, and RK4 combines stages with real weights, so
+# does every step matrix and every product of them.  Such a matrix is kept
+# as its first row (alpha, beta): the kernels below take sigma explicitly,
+# and sigma=None means the four entries (m00, m01, m10, m11).
 
 _CHUNK = 1 << 15  # elements per (steps x k) working array; steps go in chunks
 
@@ -254,24 +264,34 @@ def _unchecked():
     return np.errstate(over="ignore", invalid="ignore")
 
 
-def _mul(a, b):
-    """2x2 product a @ b of (m00, m01, m10, m11) entry tuples."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+def _mul(a, b, sigma=None):
+    """2x2 product a @ b of entry tuples."""
+    if sigma is None:
+        a00, a01, a10, a11 = a
+        b00, b01, b10, b11 = b
+        return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+                a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+    a0, a1 = a
+    b0, b1 = b
+    t = a1 * np.conj(b1)
+    return (a0 * b0 + t if sigma > 0 else a0 * b0 - t, a0 * b1 + a1 * np.conj(b0))
 
 
 def _rows(m, idx):
     return tuple(e[idx] for e in m)
 
 
-def _eye_plus(a, m):
-    return (1.0 + a * m[0], a * m[1], a * m[2], 1.0 + a * m[3])
+def _eye_plus(a, m, sigma=None):
+    """I + a m; with sigma, a must be real."""
+    if sigma is None:
+        return (1.0 + a * m[0], a * m[1], a * m[2], 1.0 + a * m[3])
+    return (1.0 + a * m[0], a * m[1])
 
 
-def _as_array(m):
+def _as_array(m, sigma=None):
     """Entry tuple -> array of shape (..., 2, 2)."""
+    if sigma is not None:
+        m = (m[0], m[1], sigma * np.conj(m[1]), np.conj(m[0]))
     return np.stack([np.stack(m[:2], -1), np.stack(m[2:], -1)], -2)
 
 
@@ -280,41 +300,45 @@ def _entries(a):
     return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
 
 
-def _tree(m):
+def _tree(m, sigma=None):
     """Ordered product m[n-1] @ ... @ m[0] over the leading axis."""
     while len(m[0]) > 1:
         n = len(m[0]) // 2 * 2
-        prod = _mul(_rows(m, slice(1, n, 2)), _rows(m, slice(0, n, 2)))
+        prod = _mul(_rows(m, slice(1, n, 2)), _rows(m, slice(0, n, 2)), sigma)
         m = prod if n == len(m[0]) else tuple(
             np.concatenate([a, b[n:]]) for a, b in zip(prod, m))
     return _rows(m, 0)
 
 
-def _scan(m):
+def _scan(m, sigma=None):
     """Prefix products p[j] = m[j] @ ... @ m[0] over the leading axis."""
     n = len(m[0])
     if n == 1:
         return m
-    odd = _scan(_mul(_rows(m, slice(1, n // 2 * 2, 2)), _rows(m, slice(0, n // 2 * 2, 2))))
-    rest = _mul(_rows(m, slice(2, None, 2)), _rows(odd, slice(0, (n - 1) // 2)))
+    odd = _scan(_mul(_rows(m, slice(1, n // 2 * 2, 2)), _rows(m, slice(0, n // 2 * 2, 2)),
+                     sigma), sigma)
+    rest = _mul(_rows(m, slice(2, None, 2)), _rows(odd, slice(0, (n - 1) // 2)), sigma)
     out = tuple(np.empty_like(e) for e in m)
     for o, e, a, b in zip(out, m, odd, rest):
         o[0], o[1::2], o[2::2] = e[0], a, b
     return out
 
 
-def _propagate(build, nsteps: int, nk: int, y=_EYE, record=None, per=None):
-    """Chain nsteps steps chunk by chunk from the state y (entries (nk,));
-    build(i0, i1) gives the step matrices of steps i0..i1-1, entries
-    (i1 - i0, nk), for chunks of per steps (default _chunk_steps(nk)).
-    Returns the final state and the states after the step counts in
-    record, as (len(record), nk, 2, 2) (None without record)."""
+def _propagate(build, nsteps: int, nk: int, y=None, record=None, per=None, sigma=None):
+    """Chain nsteps steps chunk by chunk from the state y (entries (nk,),
+    default the identity); build(i0, i1) gives the step matrices of steps
+    i0..i1-1, entries (i1 - i0, nk), for chunks of per steps (default
+    _chunk_steps(nk)).  Returns the final state and the states after the
+    step counts in record, as (len(record), nk, 2, 2) (None without
+    record)."""
+    if y is None:
+        y = _EYE if sigma is None else _EYE[:2]
     y = tuple(np.broadcast_to(np.asarray(e, dtype=np.complex128), (nk,)) for e in y)
     out = None
     if record is not None:
         record = np.asarray(record, dtype=int)
         out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
-        out[record == 0] = _as_array(y)
+        out[record == 0] = _as_array(y, sigma)
     per = per or _chunk_steps(nk)
     with _unchecked():
         for i0 in range(0, nsteps, per):
@@ -322,23 +346,23 @@ def _propagate(build, nsteps: int, nk: int, y=_EYE, record=None, per=None):
             m = np.broadcast_arrays(*build(i0, i1))
             hit = None if record is None else (record > i0) & (record <= i1)
             if hit is not None and hit.any():
-                states = _mul(_scan(m), y)
-                out[hit] = _as_array(_rows(states, record[hit] - i0 - 1))
+                states = _mul(_scan(m, sigma), y, sigma)
+                out[hit] = _as_array(_rows(states, record[hit] - i0 - 1), sigma)
                 y = _rows(states, -1)
             else:
-                y = _mul(_tree(m), y)
+                y = _mul(_tree(m, sigma), y, sigma)
     return y, out
 
 
-def _rk4_matrix(gens, s: float):
+def _rk4_matrix(gens, s: float, sigma=None):
     """Step matrices I + s/6 (K1 + 2 K2 + 2 K3 + K4) from the generators
     G1..G4 at the four RK4 stages: K1 = G1, K_i = G_i (I + c_i s K_{i-1})
-    with c = 1/2, 1/2, 1."""
+    with c = 1/2, 1/2, 1 (s real with sigma)."""
     k = acc = gens[0]
     for g, frac, w in zip(gens[1:], (0.5, 0.5, 1.0), (2.0, 2.0, 1.0)):
-        k = _mul(g, _eye_plus(frac * s, k))
+        k = _mul(g, _eye_plus(frac * s, k, sigma), sigma)
         acc = tuple(a + w * b for a, b in zip(acc, k))
-    return _eye_plus(s / 6.0, acc)
+    return _eye_plus(s / 6.0, acc, sigma)
 
 
 class _Poly:
@@ -384,7 +408,7 @@ def _column_steps(p, q, t, s: float):
     return tuple(e.at(t) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
 
 
-def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
+def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None, sigma=None):
     """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
     D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step).
     d1, d2 hold the (start, middle, end) stage values of every step; A, B
@@ -399,10 +423,15 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
     chunk times a ramp table e^{2i mu s m}; a rotation folded from step to
     step would accumulate rounding with the step count.
 
+    With sigma (real mu and s, A = e12, B = e21 and d2 = sigma d1* at
+    every stage) the steps lie in the algebra of _mul's sigma form, and
+    only their first rows are tabulated: 7 of the 13 live terms for P = I.
+
     Returns (steps, phases): the step-matrix entries and the phases
     e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk), for chunks of at
     most per steps (default _chunk_steps(nk))."""
     nk = len(mu)
+    rows = 4 if sigma is None else 2
     u = np.exp(1j * mu * s)
     with _unchecked():
         delta = d1[1] * d2[1]
@@ -422,23 +451,25 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
                     coef.append(w * dl * dr)
                     basis.append(_mul(ml, mr))
         coef = np.stack(coef, axis=1)  # (steps, 19)
-        basis = np.array([[np.broadcast_to(e, (nk,)) for e in m] for m in basis],
-                         dtype=np.complex128).reshape(len(basis), 4 * nk)
+        basis = np.array([[np.broadcast_to(e, (nk,)) for e in m[:rows]] for m in basis],
+                         dtype=np.complex128).reshape(len(basis), rows * nk)
         live = np.any(basis != 0.0, axis=1)  # A_i A_j and B_i B_j vanish for P = I
         coef, basis = coef[:, live], basis[live]
         span = np.arange(min(per or _chunk_steps(nk), len(x)))
         ramp = np.exp(2j * np.multiply.outer(s * span, mu))
-        ramp_inv = np.exp(-2j * np.multiply.outer(s * span, mu))
+        if sigma is None:
+            ramp_inv = np.exp(-2j * np.multiply.outer(s * span, mu))
 
     def steps(i0, i1):
         n = i1 - i0
-        m = (coef[i0:i1] @ basis).reshape(n, 4, nk)
+        m = (coef[i0:i1] @ basis).reshape(n, rows, nk)
         m[:, 0] += 1.0
         m[:, 1] *= ramp[:n]
         m[:, 1] *= np.exp(2j * mu * x[i0])
-        m[:, 2] *= ramp_inv[:n]
-        m[:, 2] *= np.exp(-2j * mu * x[i0])
-        m[:, 3] += 1.0
+        if sigma is None:
+            m[:, 2] *= ramp_inv[:n]
+            m[:, 2] *= np.exp(-2j * mu * x[i0])
+            m[:, 3] += 1.0
         return tuple(np.moveaxis(m, 1, 0))
 
     def phases(i0, i1):
@@ -496,11 +527,16 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     Y = E_-^{-1} Psi+ and G = E_-^{-1} (W - W_-) E_-.
 
     Returns (S, trajectory) with S = Y(left end) of shape (nk, 2, 2);
-    trajectory is Psi+ on the working grid when collect=True.
+    trajectory is Psi+ on the working grid when collect=True.  On a rapidly
+    decreasing profile at real k, G = [[0, c q e^{2ikx}], [c q* e^{-2ikx},
+    0]] lies in the algebra with sigma = c*/c, so only the first rows are
+    integrated and S = [[alpha, beta], [sigma beta*, alpha*]] exactly.
     """
     k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
     xs, q_nodes, q_mids, h = _working_samples(p, cfg)
     mu, pm, pmi, seed_core = _frame_arrays(c, p.asymptotics, k)
+    sigma = (c.involution_sign if isinstance(p.asymptotics, Schwartz) and not k.imag.any()
+             else None)
 
     q_left, q_right = p.edge_values()
     d1 = (c.value * (q_nodes - q_left), c.value * (q_mids - q_left))
@@ -519,13 +555,13 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     nsteps = j_hi - j_lo
     build, _ = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
                             _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu,
-                            xs[j_hi - np.arange(nsteps)], -h)
+                            xs[j_hi - np.arange(nsteps)], -h, sigma=sigma)
 
     # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there
     y0 = _phased(_entries(seed_core), np.exp(2j * mu * xs[j_hi]))
-    y, traj = _propagate(build, nsteps, len(k), y0,
-                         record=np.arange(n) if collect else None)
-    y = _as_array(y)
+    y, traj = _propagate(build, nsteps, len(k), y0 if sigma is None else y0[:2],
+                         record=np.arange(n) if collect else None, sigma=sigma)
+    y = _as_array(y, sigma)
     if not np.isfinite(y).all():
         raise IntegratorDiverged("transfer-matrix pass produced non-finite values")
 

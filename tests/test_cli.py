@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from nlsquench import cli, quench, zsdirect
 from nlsquench.cli import main
 from nlsquench.core import Schwartz, dump_json, load_json, make_profile
 
@@ -110,6 +111,38 @@ def test_quench_classification(tmp_path):
     assert os.path.exists(os.path.join(out, "pre.csv"))
     assert os.path.exists(os.path.join(out, "post.csv"))
     assert rep["factorization_residual"] < 1e-5
+
+
+def test_quench_factorization_reuses_the_quench_data(tmp_path, monkeypatch):
+    # the report's a and b rebuild S bit for bit, so the factorisation check
+    # needs no second scatter and writes what a fresh verify_factorization
+    # would
+    cfg = dict(SCATTER_CFG)
+    cfg["coupling_new"] = {"im": 2.0}
+    cfg["factorization"] = True
+    path = _write(tmp_path, "cfg.json", cfg)
+    calls = []
+    scatter = zsdirect.scattering_batch
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return scatter(*args, **kwargs)
+
+    for mod in (zsdirect, quench):
+        monkeypatch.setattr(mod, "scattering_batch", counted)
+    assert main(["quench", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 2
+
+    def rescatter(p, report, icfg):
+        return quench.verify_factorization(p, report.pre.coupling, report.post.coupling,
+                                           report.pre.kgrid, icfg)
+
+    monkeypatch.setattr(cli, "_factorization", rescatter)
+    assert main(["quench", "--config", path, "--out", str(tmp_path / "ref")]) == 0
+    assert len(calls) == 6
+    got, want = (open(os.path.join(tmp_path, d, "quench.json"), "rb").read()
+                 for d in ("run", "ref"))
+    assert got == want
 
 
 def test_zeros_command(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nlsquench import zsdirect
 from nlsquench.closedforms import SolitonParamsFD, soliton_profile_fd_defocusing
 from nlsquench.core import (
     Coupling,
@@ -143,6 +144,27 @@ def test_strip_radiative_profile_is_noop(gauss_half):
     out, steps = strip_solitons(gauss_half, Coupling(0.5))
     assert steps == []
     assert np.array_equal(out.values, gauss_half.values)
+
+
+@pytest.mark.parametrize("c", [Coupling(0.5), Coupling(0.0)])
+def test_strip_searches_only_at_focusing_couplings(gauss_half, monkeypatch, c):
+    # a rapidly decreasing field has no zeros of a(k) off the focusing ray,
+    # so the contour is never sampled there
+    def no_search(*args, **kwargs):
+        raise AssertionError("a(k) sampled at a non-focusing coupling")
+
+    monkeypatch.setattr(zsdirect, "analytic_continue_a", no_search)
+    out, steps = strip_solitons(gauss_half, c)
+    assert steps == [] and out is gauss_half
+
+
+def test_strip_finite_density_raises():
+    x = np.linspace(-15.0, 15.0, 1501)
+    p = soliton_profile_fd_defocusing(SolitonParamsFD(rho=1.0, theta=np.pi / 2), x,
+                                      boundary_tol=1e-6)
+    for c in (Coupling(1.0), Coupling(1j)):
+        with pytest.raises(UnsupportedAsymptotics):
+            strip_solitons(p, c)
 
 
 def test_strip_single_soliton(sech25):

@@ -54,6 +54,17 @@ def test_scattering_batch_matches_loop(sech10, nk, step):
     assert _rel(scattering_batch(sech10, C, k, cfg), ref.transfer(sech10, C, k, cfg)) < RTOL
 
 
+@pytest.mark.parametrize("c", [Coupling(1.3j), Coupling(0.6), Coupling(0.0)])
+def test_scattering_batch_keeps_the_involution_exactly(sech10, c):
+    # on a rapidly decreasing profile S = [[a*, b], [sigma b*, a]] with
+    # sigma = c*/c: -1 focusing, +1 defocusing or free
+    s = scattering_batch(sech10, c, _ks(161), IntegratorConfig(step=0.025))
+    sigma = c.involution_sign
+    assert sigma == (-1.0 if c.regime == "focusing" else 1.0)
+    assert np.array_equal(s[:, 1, 1], np.conj(s[:, 0, 0]))
+    assert np.array_equal(s[:, 1, 0], sigma * np.conj(s[:, 0, 1]))
+
+
 @pytest.mark.parametrize("c", [Coupling(1.0), Coupling(1j)])
 def test_scattering_batch_finite_density_matches_loop(c):
     x = grid(20.0, 0.05)
@@ -184,31 +195,42 @@ def test_jost_trajectory_finite_density_matches_loop():
 
 # --- chunk edges --------------------------------------------------------------
 
-@pytest.mark.parametrize("budget", [4, 64, zsdirect._CHUNK])
+def _in_algebra(m, sigma):
+    """m with its second row set to (sigma m01*, m00*); as it is for None."""
+    if sigma is not None:
+        m[..., 1, 0] = sigma * np.conj(m[..., 0, 1])
+        m[..., 1, 1] = np.conj(m[..., 0, 0])
+    return m
+
+
+@pytest.mark.parametrize("budget, sigma", [
+    pytest.param(b, sg, id=str(b) if sg is None else f"{b}-sigma{sg:+.0f}")
+    for sg in (None, -1.0, 1.0) for b in (4, 64, zsdirect._CHUNK)])
 @pytest.mark.parametrize("nk", [1, 3, 5])
 @pytest.mark.parametrize("nsteps", [1, 2, 7, 33])
-def test_propagate_chunks_match_sequential_product(monkeypatch, budget, nk, nsteps):
+def test_propagate_chunks_match_sequential_product(monkeypatch, budget, nk, nsteps, sigma):
     monkeypatch.setattr(zsdirect, "_CHUNK", budget)
     rng = np.random.default_rng(nsteps * 100 + nk)
-    mats = np.eye(2) + 0.3 * (rng.standard_normal((nsteps, nk, 2, 2))
-                              + 1j * rng.standard_normal((nsteps, nk, 2, 2)))
-    y0 = np.eye(2) + 0.1 * rng.standard_normal((nk, 2, 2))
+    mats = _in_algebra(np.eye(2) + 0.3 * (rng.standard_normal((nsteps, nk, 2, 2))
+                                          + 1j * rng.standard_normal((nsteps, nk, 2, 2))), sigma)
+    y0 = _in_algebra(np.eye(2) + 0.1 * rng.standard_normal((nk, 2, 2)), sigma)
     states = [y0]
     for m in mats:
         states.append(m @ states[-1])
     states = np.array(states)
+    entries = ((0, 0), (0, 1), (1, 0), (1, 1))[:4 if sigma is None else 2]
 
     def build(i0, i1):
-        return tuple(mats[i0:i1, :, r, c] for r, c in ((0, 0), (0, 1), (1, 0), (1, 1)))
+        return tuple(mats[i0:i1, :, r, c] for r, c in entries)
 
-    start = (y0[:, 0, 0], y0[:, 0, 1], y0[:, 1, 0], y0[:, 1, 1])
+    start = tuple(y0[:, r, c] for r, c in entries)
     record = np.array([nsteps, 0, nsteps // 2])
-    end, out = _propagate(build, nsteps, nk, start, record=record)
-    assert _rel(zsdirect._as_array(end), states[-1]) < RTOL
+    end, out = _propagate(build, nsteps, nk, start, record=record, sigma=sigma)
+    assert _rel(zsdirect._as_array(end, sigma), states[-1]) < RTOL
     assert _rel(out, states[record]) < RTOL
-    end, out = _propagate(build, nsteps, nk, start)
+    end, out = _propagate(build, nsteps, nk, start, sigma=sigma)
     assert out is None
-    assert _rel(zsdirect._as_array(end), states[-1]) < RTOL
+    assert _rel(zsdirect._as_array(end, sigma), states[-1]) < RTOL
 
 
 def test_integrations_across_chunks_match_loop(sech10, monkeypatch):
