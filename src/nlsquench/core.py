@@ -252,19 +252,26 @@ class KGrid:
         return len(self.samples)
 
 
+def gap_edge(c: Coupling, asymptotics: Asymptotics) -> Optional[float]:
+    """Edge g of the forbidden gap (-g, g) of real k, g = |c| rho, which only
+    the defocusing finite-density case carries (None otherwise)."""
+    if isinstance(asymptotics, FiniteDensity) and c.regime == DEFOCUSING:
+        return abs(c.value) * asymptotics.rho
+    return None
+
+
 def make_kgrid(c: Coupling, asymptotics: Asymptotics, k_max: float, n: int) -> KGrid:
     """Spectral grid on [-k_max, k_max] intersected with the admissible set.
 
-    Only the defocusing finite-density case carries a gap (-|c| rho, |c| rho);
-    there the samples are split evenly between the two allowed segments and
-    the branch points themselves are excluded.
+    Where there is a forbidden gap (see gap_edge) the samples are split
+    evenly between the two allowed segments and the branch points
+    themselves are excluded.
     """
     if not (k_max > 0 and n >= 2):
         raise NlsQuenchError("need k_max > 0 and n >= 2")
-    gapped = isinstance(asymptotics, FiniteDensity) and c.regime == DEFOCUSING
-    if not gapped:
+    g = gap_edge(c, asymptotics)
+    if g is None:
         return KGrid(np.linspace(-k_max, k_max, n))
-    g = abs(c.value) * asymptotics.rho
     if k_max <= g:
         raise EmptyGrid(f"k_max {k_max} does not reach past the gap edge {g}")
     n_right = n - n // 2

@@ -20,7 +20,7 @@ from .core import (
     NlsQuenchError,
     Schwartz,
 )
-from .zsdirect import DEFAULT_INTEGRATOR, IntegratorConfig, scattering_batch
+from .zsdirect import DEFAULT_INTEGRATOR, IntegratorConfig, _lagrange4, scattering_batch
 
 
 class BlowUp(NlsQuenchError):
@@ -52,29 +52,9 @@ def _stepper_grid(p: FieldProfile, cfg: StepperConfig):
     n = cfg.n_modes
     L = p.L
     xs = -L + (2.0 * L / n) * np.arange(n)
-    vals = _interp_complex(p.x, p.values, xs, *p.edge_values())
-    return xs, vals
-
-
-def _interp_complex(xp, fp, xq, left, right):
-    # cubic 4-point Lagrange on the uniform source grid
-    h = xp[1] - xp[0]
-    pos = (xq - xp[0]) / h
-    i = np.clip(np.floor(pos).astype(int), 0, len(xp) - 2)
-    t = pos - i
-    padded = np.empty(len(xp) + 2, dtype=np.complex128)
-    padded[1:-1] = fp
-    padded[0] = left
-    padded[-1] = right
-    f0 = padded[i]
-    f1 = padded[i + 1]
-    f2 = padded[i + 2]
-    f3 = padded[i + 3]
-    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-    w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-    w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-    w3 = (t + 1.0) * t * (t - 1.0) / 6.0
-    return w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3
+    pos = (xs - p.x[0]) / (p.x[1] - p.x[0])
+    i = np.clip(np.floor(pos).astype(int), 0, p.n - 2)
+    return xs, _lagrange4(p.values, *p.edge_values(), i, pos - i)
 
 
 def _resampled_profile(p: FieldProfile, cfg: StepperConfig) -> FieldProfile:

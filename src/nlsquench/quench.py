@@ -188,7 +188,7 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     per = _chunk_steps(4 * nk)
     phi_steps, phases = _frame_steps(tuple(cv * v for v in q), tuple(cv * np.conj(v) for v in q),
                                      (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), k,
-                                     xs[start + direction * np.arange(n - 1)], s, per, _SU2)
+                                     xs[start + direction * np.arange(n - 1)], s, per)
 
     phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE[:2])
     phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)

@@ -6,11 +6,11 @@ The transfer matrix is integrated in the frame of the left asymptotic
 solution, so the oscillating factors e^{+-2i mu x} sit inside the coupling
 terms and fixed-step RK4 stays accurate.  All RK4 integrations of the
 package run through one linear propagator (step matrices chained by tree
-products and prefix scans), defined here.  On a rapidly decreasing profile
-at real k the step matrices, their products and S obey the reality
-involution [[alpha, beta], [sigma beta*, alpha*]], sigma = c*/c, and the
-transfer pass carries only (alpha, beta); finite-density passes, complex k
-and the dressing columns keep all four entries.  The same machinery
+products and prefix scans), defined here.  At every admissible real k the
+frames, the step matrices, their products and S obey the reality
+involution [[alpha, beta], [sigma beta*, alpha*]], sigma = c*/c, so the
+transfer pass carries only (alpha, beta), whatever the asymptotics; only
+the Jost columns at complex k keep all four entries.  The same machinery
 provides the analytic continuation of a(k) into the upper half-plane (as a
 determinant of the two decaying Jost columns) and a search for its zeros by
 the moments of one contour.
@@ -32,6 +32,7 @@ from .core import (
     NlsQuenchError,
     ScatteringData,
     Schwartz,
+    gap_edge,
 )
 
 
@@ -95,28 +96,28 @@ _DET_GUARD = 1e-4
 # ---------------------------------------------------------------------------
 # cubic resampling (4-point Lagrange, ends padded with the asymptotic value)
 
-def _cubic_refine(values: np.ndarray, m: int, left_pad: complex, right_pad: complex) -> np.ndarray:
-    """Values on the m-fold refined grid, (n-1)*m + 1 points."""
-    if m == 1:
-        return np.asarray(values, dtype=np.complex128)
+def _lagrange4(values: np.ndarray, left_pad: complex, right_pad: complex, i, t):
+    """Cubic through nodes i-1..i+2 of uniformly spaced values, at the
+    fraction t of the way from node i to node i+1 (i and t broadcast); the
+    values are padded by one node at each end."""
     v = np.empty(len(values) + 2, dtype=np.complex128)
     v[1:-1] = values
     v[0] = left_pad
     v[-1] = right_pad
+    w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
+    w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
+    w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
+    w3 = (t + 1.0) * t * (t - 1.0) / 6.0
+    return w0 * v[i] + w1 * v[i + 1] + w2 * v[i + 2] + w3 * v[i + 3]
+
+
+def _cubic_refine(values: np.ndarray, m: int, left_pad: complex, right_pad: complex) -> np.ndarray:
+    """Values on the m-fold refined grid, (n-1)*m + 1 points (m >= 2)."""
     n = len(values)
     out = np.empty((n - 1) * m + 1, dtype=np.complex128)
     out[::m] = values
-    f0 = v[:-3]  # node i-1
-    f1 = v[1:-2]  # node i
-    f2 = v[2:-1]  # node i+1
-    f3 = v[3:]  # node i+2
-    for j in range(1, m):
-        t = j / m
-        w0 = -t * (t - 1.0) * (t - 2.0) / 6.0
-        w1 = (t + 1.0) * (t - 1.0) * (t - 2.0) / 2.0
-        w2 = -(t + 1.0) * t * (t - 2.0) / 2.0
-        w3 = (t + 1.0) * t * (t - 1.0) / 6.0
-        out[j::m] = w0 * f0 + w1 * f1 + w2 * f2 + w3 * f3
+    out[:-1].reshape(n - 1, m)[:, 1:] = _lagrange4(
+        values, left_pad, right_pad, np.arange(n - 1)[:, None], np.arange(1, m) / m)
     return out
 
 
@@ -132,16 +133,21 @@ def _working_samples(p: FieldProfile, cfg: IntegratorConfig):
     return xs, nodes, mids, h
 
 
-def _support_bounds(p: FieldProfile, rel_tol: float = 1e-14):
+# relative deviation from the background below which the tails are skipped
+_SUPPORT_TOL = 1e-14
+
+
+def _support_bounds(p: FieldProfile):
     """Node indices (lo, hi) outside of which the field sits on its
-    asymptotic background to within rel_tol of the overall deviation; the
-    transfer matrix is constant there, so integration may skip the tails."""
+    asymptotic background to within _SUPPORT_TOL of the overall deviation;
+    the transfer matrix is constant there, so integration may skip the
+    tails."""
     left, right = p.edge_values()
     dev_l = np.abs(p.values - left)
     dev_r = np.abs(p.values - right)
     scale = max(float(dev_l.max()), float(dev_r.max()), 1e-300)
-    inside_l = np.nonzero(dev_l > rel_tol * scale)[0]
-    inside_r = np.nonzero(dev_r > rel_tol * scale)[0]
+    inside_l = np.nonzero(dev_l > _SUPPORT_TOL * scale)[0]
+    inside_r = np.nonzero(dev_r > _SUPPORT_TOL * scale)[0]
     if len(inside_l) == 0 and len(inside_r) == 0:
         mid = len(p.values) // 2
         return mid, mid
@@ -408,7 +414,7 @@ def _column_steps(p, q, t, s: float):
     return tuple(e.at(t) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
 
 
-def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None, sigma=None):
+def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
     """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
     D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step).
     d1, d2 hold the (start, middle, end) stage values of every step; A, B
@@ -423,15 +429,15 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None, sigma=None):
     chunk times a ramp table e^{2i mu s m}; a rotation folded from step to
     step would accumulate rounding with the step count.
 
-    With sigma (real mu and s, A = e12, B = e21 and d2 = sigma d1* at
-    every stage) the steps lie in the algebra of _mul's sigma form, and
+    Every caller has real mu and s, d2 = sigma d1* at every stage, and A, B
+    with d1 A + d2 B in the algebra of _mul's sigma form (A = P^{-1} e12 P,
+    B = P^{-1} e21 P with P in the algebra), so the steps lie in it too and
     only their first rows are tabulated: 7 of the 13 live terms for P = I.
 
-    Returns (steps, phases): the step-matrix entries and the phases
-    e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk), for chunks of at
-    most per steps (default _chunk_steps(nk))."""
+    Returns (steps, phases): the first-row step-matrix entries and the
+    phases e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk), for chunks
+    of at most per steps (default _chunk_steps(nk))."""
     nk = len(mu)
-    rows = 4 if sigma is None else 2
     u = np.exp(1j * mu * s)
     with _unchecked():
         delta = d1[1] * d2[1]
@@ -451,26 +457,20 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None, sigma=None):
                     coef.append(w * dl * dr)
                     basis.append(_mul(ml, mr))
         coef = np.stack(coef, axis=1)  # (steps, 19)
-        basis = np.array([[np.broadcast_to(e, (nk,)) for e in m[:rows]] for m in basis],
-                         dtype=np.complex128).reshape(len(basis), rows * nk)
+        basis = np.array([[np.broadcast_to(e, (nk,)) for e in m[:2]] for m in basis],
+                         dtype=np.complex128).reshape(len(basis), 2 * nk)
         live = np.any(basis != 0.0, axis=1)  # A_i A_j and B_i B_j vanish for P = I
         coef, basis = coef[:, live], basis[live]
         span = np.arange(min(per or _chunk_steps(nk), len(x)))
         ramp = np.exp(2j * np.multiply.outer(s * span, mu))
-        if sigma is None:
-            ramp_inv = np.exp(-2j * np.multiply.outer(s * span, mu))
 
     def steps(i0, i1):
         n = i1 - i0
-        m = (coef[i0:i1] @ basis).reshape(n, rows, nk)
+        m = (coef[i0:i1] @ basis).reshape(n, 2, nk)
         m[:, 0] += 1.0
         m[:, 1] *= ramp[:n]
         m[:, 1] *= np.exp(2j * mu * x[i0])
-        if sigma is None:
-            m[:, 2] *= ramp_inv[:n]
-            m[:, 2] *= np.exp(-2j * mu * x[i0])
-            m[:, 3] += 1.0
-        return tuple(np.moveaxis(m, 1, 0))
+        return m[:, 0], m[:, 1]
 
     def phases(i0, i1):
         return np.exp(2j * mu * x[i0]) * ramp[:i1 - i0]
@@ -527,16 +527,21 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     Y = E_-^{-1} Psi+ and G = E_-^{-1} (W - W_-) E_-.
 
     Returns (S, trajectory) with S = Y(left end) of shape (nk, 2, 2);
-    trajectory is Psi+ on the working grid when collect=True.  On a rapidly
-    decreasing profile at real k, G = [[0, c q e^{2ikx}], [c q* e^{-2ikx},
-    0]] lies in the algebra with sigma = c*/c, so only the first rows are
-    integrated and S = [[alpha, beta], [sigma beta*, alpha*]] exactly.
+    trajectory is Psi+ on the working grid when collect=True.  k is real.
+    There mu is real and the frames P_pm = [[1, beta], [-beta, 1]] phase
+    (beta real when focusing, imaginary when defocusing) lie in the algebra
+    with sigma = c*/c, as does G, so only the first rows are integrated and
+    S = [[alpha, beta], [sigma beta*, alpha*]] exactly.  Samples inside the
+    forbidden gap, where mu is imaginary and the frames grow like
+    e^{+-nu x}, carry no scattering data: BranchPoint is raised there.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    g = gap_edge(c, p.asymptotics)
+    if g is not None and np.any(np.abs(k) < g):
+        raise BranchPoint(f"spectral sample inside the forbidden gap (-{g}, {g})")
     xs, q_nodes, q_mids, h = _working_samples(p, cfg)
     mu, pm, pmi, seed_core = _frame_arrays(c, p.asymptotics, k)
-    sigma = (c.involution_sign if isinstance(p.asymptotics, Schwartz) and not k.imag.any()
-             else None)
+    sigma = c.involution_sign
 
     q_left, q_right = p.edge_values()
     d1 = (c.value * (q_nodes - q_left), c.value * (q_mids - q_left))
@@ -555,11 +560,11 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     nsteps = j_hi - j_lo
     build, _ = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
                             _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu,
-                            xs[j_hi - np.arange(nsteps)], -h, sigma=sigma)
+                            xs[j_hi - np.arange(nsteps)], -h)
 
     # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there
     y0 = _phased(_entries(seed_core), np.exp(2j * mu * xs[j_hi]))
-    y, traj = _propagate(build, nsteps, len(k), y0 if sigma is None else y0[:2],
+    y, traj = _propagate(build, nsteps, len(k), y0[:2],
                          record=np.arange(n) if collect else None, sigma=sigma)
     y = _as_array(y, sigma)
     if not np.isfinite(y).all():
@@ -593,7 +598,7 @@ def jost_plus(p: FieldProfile, c: Coupling, k: float,
               cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> JostSolution:
     """Jost solution normalised to the right asymptotic frame, integrated
     down to the left end of the grid."""
-    _, out = _transfer_pass(p, c, np.array([k]), cfg, collect=True)
+    _, out = _transfer_pass(p, c, np.array([k], dtype=float), cfg, collect=True)
     xs, psi = out
     return JostSolution(x=xs, samples=psi[:, 0], k=complex(k))
 
@@ -671,19 +676,24 @@ def norming_constant(p: FieldProfile, c: Coupling, k0: complex,
 # then every interval is split once more: a whole turn inside one interval
 # aliases to a small step.  The default bottom edge runs _AXIS_GAP above the
 # axis, clear of the real zero of a(k) at a threshold coupling (a spectral
-# singularity), which the decimated profile displaces by ~1e-7.
+# singularity), which the decimated profile displaces by ~1e-7.  The contour
+# pass runs on the profile decimated to a spacing of at most _COARSE_H;
+# Newton stops once a step falls below _NEWTON_TOL (1 + |k|).
 _EDGE_POINTS = 24
 _MAX_PHASE_STEP = np.pi / 4
 _MAX_BISECTIONS = 40
 _AXIS_GAP = 1e-6
+_COARSE_H = 0.045
+_NEWTON_TOL = 1e-11
+_NEWTON_MAX_ITER = 60
 
 
-def _decimated(p: FieldProfile, target_h: float = 0.045) -> FieldProfile:
+def _decimated(p: FieldProfile) -> FieldProfile:
     """Coarsened copy for the contour pass (the moments only need a few
     digits of a(k); Newton polishing runs on the full profile)."""
     best = 1
     for m in (6, 5, 4, 3, 2):
-        if (p.n - 1) % m == 0 and p.h * m <= target_h:
+        if (p.n - 1) % m == 0 and p.h * m <= _COARSE_H:
             best = m
             break
     if best == 1:
@@ -741,14 +751,13 @@ def _moment_roots(pts: np.ndarray, dlog: np.ndarray, n: int, region) -> np.ndarr
     return centre + scale * np.roots([(-1) ** m * e[m] for m in range(n + 1)])
 
 
-def _newton_zeros(p: FieldProfile, c: Coupling, starts, cfg: IntegratorConfig,
-                  tol: float = 1e-11, max_iter: int = 60) -> np.ndarray:
+def _newton_zeros(p: FieldProfile, c: Coupling, starts, cfg: IntegratorConfig) -> np.ndarray:
     """Newton iteration on a(k) from every start at once, with a central
     finite-difference derivative; each iteration is one batched evaluation
     of a at the starts not yet converged."""
     k = np.array(starts, dtype=np.complex128)
     live = np.arange(len(k))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         kl = k[live]
         d = 1e-5 * (1.0 + np.abs(kl))
         a0, ap, am = analytic_continue_a(
@@ -762,7 +771,7 @@ def _newton_zeros(p: FieldProfile, c: Coupling, starts, cfg: IntegratorConfig,
         below = kl.imag <= 0
         kl[below] = kl[below].real + 1j * np.maximum(1e-8, -0.1 * kl[below].imag)
         k[live] = kl
-        live = live[np.abs(step) >= tol * (1.0 + np.abs(kl))]
+        live = live[np.abs(step) >= _NEWTON_TOL * (1.0 + np.abs(kl))]
         if len(live) == 0:
             return k
     raise NewtonStalled(f"Newton did not converge near {k[live[0]]}")

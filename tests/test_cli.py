@@ -6,7 +6,7 @@ import pytest
 
 from nlsquench import cli, quench, zsdirect
 from nlsquench.cli import main
-from nlsquench.core import Schwartz, dump_json, load_json, make_profile
+from nlsquench.core import Coupling, Schwartz, dump_json, load_json, make_profile
 
 
 def _write(tmp_path, name, payload):
@@ -268,6 +268,56 @@ def test_verify_fails_on_tight_threshold(tmp_path):
     path = _write(tmp_path, "cfg.json", cfg)
     out = str(tmp_path / "run")
     assert main(["verify", "--config", path, "--out", out]) == 2
+
+
+def test_verify_isospectral_block(tmp_path):
+    cfg = {
+        "profile": {"builtin": "sech", "L": 15.0, "n": 601, "boundary_tol": 1e-6},
+        "coupling": {"im": 1.5},
+        "kgrid": {"k_max": 3.0, "n": 31},
+        "isospectral": {"time": 0.1, "stepper": {"dt": 1e-3, "n_modes": 256}},
+    }
+    out = str(tmp_path / "run")
+    assert main(["verify", "--config", _write(tmp_path, "cfg.json", cfg), "--out", out]) == 0
+    rep = load_json(os.path.join(out, "verify.json"))
+    assert rep["passed"] is True and "factorization" not in rep
+    iso = rep["isospectral"]
+    assert iso["amp_drift"] < 1e-4 and iso["phase_drift"] < 1e-3
+    assert iso["n_phase_points"] > 0
+    # zero tolerances fail both drifts
+    cfg["isospectral"].update(amp_tol=0.0, phase_tol=0.0)
+    out = str(tmp_path / "tight")
+    assert main(["verify", "--config", _write(tmp_path, "tight.json", cfg), "--out", out]) == 2
+    failures = load_json(os.path.join(out, "verify.json"))["failures"]
+    assert [f.split()[0] for f in failures] == ["amplitude", "phase"]
+
+
+def test_scatter_fd_pedestal_builtin(tmp_path):
+    # q = 1 - iA sech(Ax), A = Z - 1/Z, is reflectionless at c = i, with a
+    # the Blaschke factor of mu = sqrt(k^2 + 1) (criterion 05 on a short grid)
+    cfg = {"profile": {"builtin": "fd_pedestal", "Z": 2.0, "L": 15.0, "n": 1501},
+           "coupling": {"im": 1.0}, "kgrid": {"k_max": 3.0, "n": 21}}
+    out = str(tmp_path / "run")
+    assert main(["scatter", "--config", _write(tmp_path, "cfg.json", cfg), "--out", out]) == 0
+    _, rows = _read_csv(os.path.join(out, "scattering.csv"))
+    mu = np.sqrt(rows[:, 0] ** 2 + 1.0)
+    a = rows[:, 1] + 1j * rows[:, 2]
+    assert np.max(np.abs(a - (mu - 0.75j) / (mu + 0.75j))) < 1e-5
+    assert np.max(np.abs(rows[:, 3:5])) < 1e-5
+
+
+def test_determinant_drift_exit_two(tmp_path, monkeypatch, capsys):
+    # with the guard at 0, the round-off in det S of any nonzero field trips it
+    monkeypatch.setattr(zsdirect, "_DET_GUARD", 0.0)
+    x = np.linspace(-15.0, 15.0, 301)
+    p = make_profile(0.8 / np.cosh(x), 15.0, Schwartz(), boundary_tol=1e-6)
+    with pytest.raises(zsdirect.DeterminantDrift):
+        zsdirect.scattering_batch(p, Coupling(1j), np.linspace(-2.0, 2.0, 11))
+    cfg = {"profile": {"builtin": "sech", "L": 15.0, "n": 301, "boundary_tol": 1e-6},
+           "coupling": {"im": 1.0}, "kgrid": {"k_max": 2.0, "n": 11}, "find_discrete": False}
+    out = str(tmp_path / "run")
+    assert main(["scatter", "--config", _write(tmp_path, "cfg.json", cfg), "--out", out]) == 2
+    assert "det S drifted" in capsys.readouterr().err
 
 
 def test_threads_flag_validated(tmp_path):

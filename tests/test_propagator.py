@@ -9,16 +9,18 @@ import pytest
 
 import rk4_reference as ref
 from nlsquench import zsdirect
-from nlsquench.core import Coupling, FiniteDensity, Schwartz, make_profile
+from nlsquench.core import Coupling, FiniteDensity, Schwartz, make_kgrid, make_profile
 from nlsquench.closedforms import (
     SolitonParamsFD,
     SolitonParamsRD,
+    profile_fd_focusing,
     soliton_profile_fd_defocusing,
     soliton_profile_rd,
 )
 from nlsquench.darboux import DarbouxStep, _columns_full, apply_bt
 from nlsquench.quench import _theta_pass, higher_level_theta
 from nlsquench.zsdirect import (
+    BranchPoint,
     IntegratorConfig,
     IntegratorDiverged,
     _propagate,
@@ -54,11 +56,37 @@ def test_scattering_batch_matches_loop(sech10, nk, step):
     assert _rel(scattering_batch(sech10, C, k, cfg), ref.transfer(sech10, C, k, cfg)) < RTOL
 
 
-@pytest.mark.parametrize("c", [Coupling(1.3j), Coupling(0.6), Coupling(0.0)])
-def test_scattering_batch_keeps_the_involution_exactly(sech10, c):
-    # on a rapidly decreasing profile S = [[a*, b], [sigma b*, a]] with
-    # sigma = c*/c: -1 focusing, +1 defocusing or free
-    s = scattering_batch(sech10, c, _ks(161), IntegratorConfig(step=0.025))
+def _fd_bump():
+    x = grid(20.0, 0.05)
+    return make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2), 20.0,
+                        FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+
+
+def _fd_twisted():
+    # q -> 1 at the left end and e^{0.7i} at the right end
+    x = grid(20.0, 0.05)
+    q = np.exp(0.35j * (1.0 + np.tanh(x))) * (1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2))
+    return make_profile(q, 20.0, FiniteDensity(rho=1.0, theta=0.7), boundary_tol=1e-6)
+
+
+@pytest.mark.parametrize("c, profile, cfg", [
+    pytest.param(Coupling(1.3j), None, IntegratorConfig(step=0.025), id="c0"),
+    pytest.param(Coupling(0.6), None, IntegratorConfig(step=0.025), id="c1"),
+    pytest.param(Coupling(0.0), None, IntegratorConfig(step=0.025), id="c2"),
+    pytest.param(Coupling(1.0), lambda: soliton_profile_fd_defocusing(
+        SolitonParamsFD(rho=1.0, theta=1.94), grid(15.0, 0.02), boundary_tol=1e-6),
+        IntegratorConfig(), id="dark"),
+    pytest.param(Coupling(1j), lambda: profile_fd_focusing(2.0, grid(15.0, 0.05)),
+                 IntegratorConfig(), id="pedestal"),
+    pytest.param(Coupling(0.8j), _fd_twisted, IntegratorConfig(), id="theta"),
+])
+def test_scattering_batch_keeps_the_involution_exactly(sech10, c, profile, cfg):
+    # at real k, S = [[a*, b], [sigma b*, a]] with sigma = c*/c: -1
+    # focusing, +1 defocusing or free; finite-density cases run on the
+    # admissible samples of make_kgrid
+    p = sech10 if profile is None else profile()
+    k = _ks(161) if profile is None else make_kgrid(c, p.asymptotics, 4.0, 161).samples
+    s = scattering_batch(p, c, k, cfg)
     sigma = c.involution_sign
     assert sigma == (-1.0 if c.regime == "focusing" else 1.0)
     assert np.array_equal(s[:, 1, 1], np.conj(s[:, 0, 0]))
@@ -67,12 +95,23 @@ def test_scattering_batch_keeps_the_involution_exactly(sech10, c):
 
 @pytest.mark.parametrize("c", [Coupling(1.0), Coupling(1j)])
 def test_scattering_batch_finite_density_matches_loop(c):
-    x = grid(20.0, 0.05)
-    p = make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2), 20.0,
-                     FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+    p = _fd_bump()
     k = np.linspace(-4.0, 4.0, 41) + 0.0125  # clear of the branch points
+    if c.regime == "defocusing":
+        k = k[np.abs(k) > 1.0]  # outside the forbidden gap (-1, 1)
     cfg = IntegratorConfig()
     assert _rel(scattering_batch(p, c, k, cfg), ref.transfer(p, c, k, cfg)) < RTOL
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, -0.999])
+def test_gap_samples_raise_branch_point(k):
+    # inside the forbidden gap (-1, 1) of the defocusing finite-density
+    # problem mu is imaginary and S is not scattering data
+    p, c = _fd_bump(), Coupling(1.0)
+    with pytest.raises(BranchPoint):
+        scattering_batch(p, c, [2.0, k])
+    with pytest.raises(BranchPoint):
+        jost_plus(p, c, k)
 
 
 def test_jost_trajectory_matches_loop(sech10):
@@ -180,9 +219,7 @@ def test_theta_pass_working_set():
 
 
 def test_jost_trajectory_finite_density_matches_loop():
-    x = grid(20.0, 0.05)
-    p = make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2), 20.0,
-                     FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+    p = _fd_bump()
     c, kv, cfg = Coupling(1.0), 1.7, IntegratorConfig()
     sol = jost_plus(p, c, kv, cfg)
     y = ref.transfer(p, c, [kv], cfg, collect=True)[:, 0]
