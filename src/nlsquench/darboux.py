@@ -34,7 +34,7 @@ from .zsdirect import (
     IntegratorConfig,
     IntegratorDiverged,
     NewtonStalled,
-    _column_passes,
+    _column_table,
     _contour,
     _newton_zeros,
     _propagate,
@@ -101,11 +101,13 @@ class DarbouxStep:
 def _columns_full(p: FieldProfile, c: Coupling, k0: complex, cfg: IntegratorConfig):
     """Gauge-removed Jost columns R (grown from the left) and L (from the
     right) on the whole working grid, each integrated in its decaying
-    direction (see zsdirect._column_passes)."""
+    direction, from the unfused column table (see zsdirect._column_table)."""
     if not isinstance(p.asymptotics, Schwartz):
         raise NlsQuenchError("dressing needs a rapidly decreasing profile")
 
-    xs, j_lo, j_hi, rise, fall = _column_passes(p, c, k0, cfg, meet=False)
+    table = _column_table(p, c, cfg, meet=False)
+    xs, j_lo, j_hi = table.xs, table.j_lo, table.j_hi
+    rise, fall = table.steps(np.array([k0], dtype=np.complex128))
     n = len(xs)
     R = np.empty((n, 2), dtype=np.complex128)
     Lc = np.empty((n, 2), dtype=np.complex128)
@@ -128,7 +130,7 @@ def _refined_zero(p: FieldProfile, c: Coupling, k0: complex,
     Jost direction leaks in like e^{2 Im k0 x}), so the recorded position is
     never trusted as-is."""
     try:
-        k_ref = complex(_newton_zeros(p, c, [k0], cfg)[0])
+        k_ref = complex(_newton_zeros(_column_table(p, c, cfg), [k0])[0])
     except (NewtonStalled, IntegratorDiverged) as exc:
         raise RemoveNonexistentZero(
             f"no zero of a(k) could be located near {k0}: {exc}") from exc

@@ -89,15 +89,6 @@ _GMRES_MAX_ITER = 100
 _UNIFORM_TOL = 1e-9
 
 
-def f_kernel(rd: RadiativeData, x: float, t: float = 0.0) -> complex:
-    """F(x) = integral dk/(2 pi) rho(k) e^{-ikx} by trapezoid quadrature
-    (per segment on gapped grids)."""
-    k = rd.kgrid.samples
-    w = trapezoid_weights(k)
-    rho = rd.rho * np.exp(-4j * k ** 2 * t) if t else rd.rho
-    return complex(np.sum(w * rho * np.exp(-1j * k * x)) / (2.0 * np.pi))
-
-
 class _ToeplitzKernel:
     """Gauge-reduced (c/c*) O-star O of the data rd at coupling c and time
     t, applied to a block of x points at once.  With eps the k spacing dk, the discretised operators are

@@ -10,10 +10,11 @@ products and prefix scans), defined here.  At every admissible real k the
 frames, the step matrices, their products and S obey the reality
 involution [[alpha, beta], [sigma beta*, alpha*]], sigma = c*/c, so the
 transfer pass carries only (alpha, beta), whatever the asymptotics; only
-the Jost columns at complex k keep all four entries.  The same machinery
-provides the analytic continuation of a(k) into the upper half-plane (as a
-determinant of the two decaying Jost columns) and a search for its zeros by
-the moments of one contour.
+the Jost columns at complex k keep all four entries.  Their steps are
+polynomials in k, tabulated once per profile: they give the analytic
+continuation of a(k) into the upper half-plane (as a determinant of the two
+decaying Jost columns) and a search for its zeros by the moments of one
+contour.
 """
 
 from __future__ import annotations
@@ -62,6 +63,10 @@ class DivisionByZeroA(NlsQuenchError):
 
 class UnsupportedAsymptotics(NlsQuenchError):
     pass
+
+
+class ComplexSpectralSample(NlsQuenchError):
+    """A real-axis pass was given k off the real axis."""
 
 
 @dataclass(frozen=True)
@@ -371,49 +376,6 @@ def _rk4_matrix(gens, s: float, sigma=None):
     return _eye_plus(s / 6.0, acc, sigma)
 
 
-class _Poly:
-    """sum_i coef[i] z^i in a per-spectral-point variable z with per-step
-    coefficients.  Generators with such entries have RK4 step matrices with
-    such entries: _rk4_matrix builds them, at() evaluates."""
-
-    __array_ufunc__ = None  # ndarray * _Poly defers to __rmul__
-
-    def __init__(self, coef):
-        self.coef = list(coef)
-
-    def __add__(self, other):
-        other = other if isinstance(other, _Poly) else _Poly([other])
-        coef = [0.0] * max(len(self.coef), len(other.coef))
-        for poly in (self, other):
-            for i, c in enumerate(poly.coef):
-                coef[i] = coef[i] + c
-        return _Poly(coef)
-
-    def __mul__(self, other):
-        if not isinstance(other, _Poly):
-            return 0.0 if np.isscalar(other) and other == 0 else _Poly(
-                [other * c for c in self.coef])
-        coef = [0.0] * (len(self.coef) + len(other.coef) - 1)
-        for i, a in enumerate(self.coef):
-            for j, b in enumerate(other.coef):
-                coef[i + j] = coef[i + j] + a * b
-        return _Poly(coef)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def at(self, z):
-        """Values (steps, nk) at z (nk,), as one (steps, n) @ (n, nk) product."""
-        a = np.stack(np.broadcast_arrays(*self.coef), axis=1)
-        return a @ (z ** np.arange(len(self.coef))[:, None])
-
-
-def _column_steps(p, q, t, s: float):
-    """Step matrices of Y' = [[0, p(x)], [q(x), t]] Y, with p and q at the
-    (start, middle, end) of each step and t per spectral point."""
-    g = [(0.0, a, b, _Poly([0.0, 1.0])) for a, b in zip(p, q)]
-    return tuple(e.at(t) for e in _rk4_matrix((g[0], g[1], g[1], g[2]), s))
-
-
 def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
     """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
     D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step).
@@ -490,33 +452,6 @@ def _stages(nodes, mids, start: int, direction: int, i0: int, i1: int):
     return nodes[j], mids[j if direction > 0 else j - 1], nodes[j + direction]
 
 
-def _column_passes(p: FieldProfile, c: Coupling, k, cfg: IntegratorConfig,
-                     meet: bool):
-    """(xs, j_lo, j_hi, rise, fall): step-matrix functions of the Jost columns
-    R1' = d1 R2, R2' = 2ik R2 + d2 R1 upward from node j_lo and
-    L1' = -2ik L1 + d1 L2, L2' = d2 L1 downward from j_hi (the field's
-    support, stretched to the central node if meet).  L is stepped as
-    (L2, L1), which takes R's form: each column is its product's first."""
-    xs, qn, qm, h = _working_samples(p, cfg)
-    m = cfg.substeps(p.h)
-    lo, hi = _support_bounds(p)
-    j_lo, j_hi = lo * m, hi * m
-    if meet:
-        j_lo, j_hi = min(j_lo, len(xs) // 2), max(j_hi, len(xs) // 2)
-    d1 = (c.value * qn, c.value * qm)
-    d2 = (c.value * np.conj(qn), c.value * np.conj(qm))
-    tik = 2j * np.atleast_1d(k)
-
-    def rise(i0, i1):
-        return _column_steps(_stages(*d1, j_lo, 1, i0, i1), _stages(*d2, j_lo, 1, i0, i1), tik, h)
-
-    def fall(i0, i1):
-        return _column_steps(_stages(*d2, j_hi, -1, i0, i1), _stages(*d1, j_hi, -1, i0, i1),
-                             -tik, -h)
-
-    return xs, j_lo, j_hi, rise, fall
-
-
 # ---------------------------------------------------------------------------
 # transfer-matrix pass
 
@@ -534,8 +469,15 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     S = [[alpha, beta], [sigma beta*, alpha*]] exactly.  Samples inside the
     forbidden gap, where mu is imaginary and the frames grow like
     e^{+-nu x}, carry no scattering data: BranchPoint is raised there.
+    A k with a nonzero imaginary part raises ComplexSpectralSample.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k = np.atleast_1d(np.asarray(k))
+    if np.iscomplexobj(k):
+        if np.any(k.imag != 0):
+            raise ComplexSpectralSample(
+                "the real-axis pass takes real k; off the axis use analytic_continue_a")
+        k = k.real
+    k = k.astype(float)
     g = gap_edge(c, p.asymptotics)
     if g is not None and np.any(np.abs(k) < g):
         raise BranchPoint(f"spectral sample inside the forbidden gap (-{g}, {g})")
@@ -598,7 +540,7 @@ def jost_plus(p: FieldProfile, c: Coupling, k: float,
               cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> JostSolution:
     """Jost solution normalised to the right asymptotic frame, integrated
     down to the left end of the grid."""
-    _, out = _transfer_pass(p, c, np.array([k], dtype=float), cfg, collect=True)
+    _, out = _transfer_pass(p, c, k, cfg, collect=True)
     xs, psi = out
     return JostSolution(x=xs, samples=psi[:, 0], k=complex(k))
 
@@ -614,7 +556,7 @@ def scattering_batch(p: FieldProfile, c: Coupling, k: Sequence[float],
     """S(k) = lim_{x -> left end} E_-^{-1}(x) Psi+(x) at every k, shape
     (nk, 2, 2).  det S = 1 up to integrator drift (trace-free generator);
     DeterminantDrift is raised when max |det S - 1| exceeds 1e-4."""
-    s, _ = _transfer_pass(p, c, np.asarray(k, dtype=float), cfg)
+    s, _ = _transfer_pass(p, c, k, cfg)
     det = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
     drift = float(np.max(np.abs(det - 1.0)))
     if drift > _DET_GUARD:
@@ -624,6 +566,20 @@ def scattering_batch(p: FieldProfile, c: Coupling, k: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # analytic continuation and the discrete spectrum (rapidly decreasing case)
+#
+# a(k) = det(R, L) comes from the two Jost columns that decay in the upper
+# half-plane: R' = [[0, d1], [d2, 2ik]] R upward from the left end and, as
+# (L2, L1), L the same way with (d1, d2, 2ik) -> (d2, d1, -2ik) downward
+# from the right end (d1 = c q, d2 = c q*).  In z = +-2ik every RK4 step
+# matrix of either column is a polynomial of degree <= 4 whose coefficients
+# depend on the profile only, so they are tabulated once per (profile,
+# coupling, integrator) and every later k costs one (rows x coefficients) @
+# (coefficients x nk) product per chunk.  For the passes that stop at the
+# central node, adjacent steps are multiplied out twice more, exactly (each
+# row then covers 4 steps, degree <= 16), which removes the two widest
+# levels of the tree product.  A zero search builds one table for its
+# contour (decimated profile) and one for Newton and the norming constants
+# (full profile); the public entry points build one per call.
 
 def _require_schwartz(p: FieldProfile, what: str):
     if not isinstance(p.asymptotics, Schwartz):
@@ -632,20 +588,145 @@ def _require_schwartz(p: FieldProfile, what: str):
         )
 
 
-def _columns_meet(p: FieldProfile, c: Coupling, k: np.ndarray,
-                  cfg: IntegratorConfig = DEFAULT_INTEGRATOR):
-    """Gauge-removed Jost columns R (from the left, R(-L) = (1, 0)) and L
-    (from the right, L(+L) = (0, 1)), each integrated in its decaying
-    direction (see _column_passes) and met at the central node."""
-    k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
-    xs, j_lo, j_hi, rise, fall = _column_passes(p, c, k, cfg, meet=True)
-    imeet = len(xs) // 2
-    (r1, _, r2, _), _ = _propagate(rise, imeet - j_lo, len(k))
-    (l2, _, l1, _), _ = _propagate(fall, j_hi - imeet, len(k))
+# steps per row of a fused column table: 2^_FUSED_LEVELS
+_FUSED_LEVELS = 2
 
+# Step tables hold 2x2 polynomial matrices as coefficient arrays (2, 2,
+# ncoef, rows): coefficient i of entry (r, c) of row j at [r, c, i, j], so
+# that every operation of the build runs along the rows.
+
+
+def _pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products a[j] @ b[j] of polynomial matrices (coefficient
+    arrays (2, 2, da, n) and (2, 2, db, n)): each coefficient of a times
+    all of b, added at its shift."""
+    da, db, n = a.shape[2], b.shape[2], a.shape[3]
+    out = np.zeros((2, 2, da + db - 1, n), dtype=np.complex128)
+    for i in range(da):
+        out[:, :, i:i + db] += a[:, 0, None, None, i] * b[0] + a[:, 1, None, None, i] * b[1]
+    return out
+
+
+def _rk4_poly(d1, d2, s: float) -> np.ndarray:
+    """RK4 step matrices of size s of Y' = G(x) Y, G = [[0, d1], [d2, z]],
+    as polynomials in z, coefficient array (2, 2, 5, steps); d1 and d2
+    hold the (start, middle, end) stage values (a_i, b_i) of every step.
+    With G_i the stage generators the step is exactly M = I + (s/6)(G_0 +
+    4 G_1 + G_2) + (s^2/6)(G_1 G_0 + G_1^2 + G_2 G_1) + (s^3/12)(G_1^2 G_0 +
+    G_2 G_1^2) + (s^4/24) G_2 G_1^2 G_0, expanded below with delta = a_1
+    b_1.  M_10 is M_01 with a_i and b_(2-i) exchanged."""
+    (a0, a1, a2), (b0, b1, b2) = d1, d2
+    s2, s3, s4 = s * s / 6.0, s ** 3 / 12.0, s ** 4 / 24.0
+    delta = a1 * b1
+    m = np.zeros((2, 2, 5, len(a0)), dtype=np.complex128)
+    for r, (p0, p1, p2), q1 in ((0, (a0, a1, a2), b1), (1, (b2, b1, b0), a1)):
+        m[r, 1 - r, :4] = (s / 6.0 * (p0 + 4.0 * p1 + p2) + s3 * delta * (p0 + p2),
+                           s2 * (2.0 * p1 + p2) + s4 * p2 * (p0 * q1 + delta),
+                           s3 * (p1 + p2), s4 * p2)
+    u, v = a1 * b0 + a2 * b1, a0 * b1 + a1 * b2
+    m[0, 0, :3] = 1.0 + s2 * (u + delta) + s4 * a2 * b0 * delta, s3 * u, s4 * a2 * b0
+    m[1, 1, :3] = (1.0 + s2 * (v + delta) + s4 * a0 * b2 * delta, s + s3 * (v + 2.0 * delta),
+                   s * s / 2.0 + s4 * (v + delta))
+    m[1, 1, 3:] = np.array([s ** 3 / 6.0, s4])[:, None]
+    return m
+
+
+def _fused(steps: np.ndarray) -> np.ndarray:
+    """Rows of 2^_FUSED_LEVELS consecutive steps, multiplied out in order
+    (later steps on the left); the step count is padded with identities."""
+    eye = np.zeros(steps.shape[:3] + (-steps.shape[3] % (1 << _FUSED_LEVELS),),
+                   dtype=np.complex128)
+    eye[0, 0, 0] = eye[1, 1, 0] = 1.0
+    rows = np.concatenate([steps, eye], axis=3)
+    for _ in range(_FUSED_LEVELS):
+        rows = _pmul(rows[..., 1::2], rows[..., 0::2])
+    return rows
+
+
+def _table_steps(table: np.ndarray, z: np.ndarray):
+    """build(i0, i1) for _propagate: the entries of rows i0..i1-1 of a step
+    table at z (nk,), each (i1 - i0, nk), one (rows x coefficients) @
+    (coefficients x nk) product per entry."""
+    powers = z ** np.arange(table.shape[2])[:, None]
+
+    def build(i0, i1):
+        return tuple(e[:, i0:i1].T @ powers for e in table.reshape(4, *table.shape[2:]))
+
+    return build
+
+
+@dataclass(frozen=True)
+class _ColumnTable:
+    """k-independent RK4 steps of the Jost columns on one (profile,
+    coupling, integrator): rise takes R up from node j_lo, fall takes
+    (L2, L1) down from node j_hi.  Each is a coefficient array (2, 2,
+    degree + 1, rows) of polynomials in z = 2ik (rise) or z = -2ik (fall),
+    and each column is the first column of its ordered row product."""
+
+    xs: np.ndarray
+    j_lo: int
+    j_hi: int
+    rise: np.ndarray
+    fall: np.ndarray
+
+    def steps(self, k: np.ndarray):
+        """(rise, fall) build functions for _propagate at k (nk,)."""
+        return _table_steps(self.rise, 2j * k), _table_steps(self.fall, -2j * k)
+
+
+def _column_table(p: FieldProfile, c: Coupling, cfg: IntegratorConfig,
+                  meet: bool = True) -> _ColumnTable:
+    """Step table of the Jost columns, each integrated in its decaying
+    direction from the field's support.  With meet, both passes are
+    stretched to and stopped at the central node, and fused
+    (_FUSED_LEVELS); otherwise R runs to the right end and L to the left
+    end one step per row, so that every node can be recorded."""
+    xs, qn, qm, h = _working_samples(p, cfg)
+    m = cfg.substeps(p.h)
+    lo, hi = _support_bounds(p)
+    j_lo, j_hi = lo * m, hi * m
+    if meet:
+        imeet = len(xs) // 2
+        j_lo, j_hi = min(j_lo, imeet), max(j_hi, imeet)
+        r_stop = l_stop = imeet
+    else:
+        r_stop, l_stop = len(xs) - 1, 0
+    d1 = (c.value * qn, c.value * qm)
+    d2 = (c.value * np.conj(qn), c.value * np.conj(qm))
+    nr, nl = r_stop - j_lo, j_hi - l_stop
+    with _unchecked():
+        rise = _rk4_poly(_stages(*d1, j_lo, 1, 0, nr), _stages(*d2, j_lo, 1, 0, nr), h)
+        fall = _rk4_poly(_stages(*d2, j_hi, -1, 0, nl), _stages(*d1, j_hi, -1, 0, nl), -h)
+        if meet:
+            rise, fall = _fused(rise), _fused(fall)
+    return _ColumnTable(xs, j_lo, j_hi, rise, fall)
+
+
+def _meet_columns(table: _ColumnTable, k):
+    """Gauge-removed Jost columns R (from the left, R(-L) = (1, 0)) and L
+    (from the right, L(+L) = (0, 1)) at the central node, at every k, from
+    a meet table."""
+    k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
+    rise, fall = table.steps(k)
+    (r1, _, r2, _), _ = _propagate(rise, table.rise.shape[3], len(k))
+    (l2, _, l1, _), _ = _propagate(fall, table.fall.shape[3], len(k))
     if not all(np.isfinite(v).all() for v in (r1, r2, l1, l2)):
         raise IntegratorDiverged("Jost column integration produced non-finite values")
     return (r1, r2), (l1, l2)
+
+
+def _a_values(table: _ColumnTable, k) -> np.ndarray:
+    """a(k) = det(R, L) at every k (nk,)."""
+    (r1, r2), (l1, l2) = _meet_columns(table, k)
+    return r1 * l2 - r2 * l1
+
+
+def _norming_values(table: _ColumnTable, k) -> np.ndarray:
+    """b0 with L = b0 R at the central node, from the larger entry of R,
+    at every k (zeros of a)."""
+    (r1, r2), (l1, l2) = _meet_columns(table, k)
+    first = np.abs(r1) >= np.abs(r2)
+    return np.where(first, l1, l2) / np.where(first, r1, r2)
 
 
 def analytic_continue_a(p: FieldProfile, c: Coupling, k,
@@ -655,8 +736,7 @@ def analytic_continue_a(p: FieldProfile, c: Coupling, k,
     through vectorised)."""
     _require_schwartz(p, "analytic continuation of a")
     scalar = np.isscalar(k) or np.ndim(k) == 0
-    (r1, r2), (l1, l2) = _columns_meet(p, c, k, cfg)
-    a = r1 * l2 - r2 * l1
+    a = _a_values(_column_table(p, c, cfg), k)
     return complex(a[0]) if scalar else a
 
 
@@ -665,10 +745,7 @@ def norming_constant(p: FieldProfile, c: Coupling, k0: complex,
     """Proportionality b0 between the two bounded columns at a zero of a,
     evaluated at the central node (L = b0 R there)."""
     _require_schwartz(p, "norming constant extraction")
-    (r1, r2), (l1, l2) = _columns_meet(p, c, np.array([k0]), cfg)
-    if abs(r1[0]) >= abs(r2[0]):
-        return complex(l1[0] / r1[0])
-    return complex(l2[0] / r2[0])
+    return complex(_norming_values(_column_table(p, c, cfg), [k0])[0])
 
 
 # Zero search: a(k) is sampled around the search rectangle from _EDGE_POINTS
@@ -705,13 +782,15 @@ def _decimated(p: FieldProfile) -> FieldProfile:
 def _contour(p: FieldProfile, c: Coupling, region):
     """(N, nodes, increments of log a(k) between the nodes) around the
     rectangle, counter-clockwise from x0 + i y0 and closed; the winding
-    number N of a counts the zeros inside, with multiplicity."""
+    number N of a counts the zeros inside, with multiplicity.  Every
+    sample, refinements included, comes from one column table of the
+    decimated profile."""
     x0, x1, y0, y1 = region
     corners = np.array([x0 + 1j * y0, x1 + 1j * y0, x1 + 1j * y1, x0 + 1j * y1, x0 + 1j * y0])
     t = np.arange(_EDGE_POINTS) / _EDGE_POINTS
     pts = np.append((corners[:-1, None] + np.diff(corners)[:, None] * t).ravel(), corners[0])
-    coarse = _decimated(p)
-    vals = analytic_continue_a(coarse, c, pts)
+    table = _column_table(_decimated(p), c, DEFAULT_INTEGRATOR)
+    vals = _a_values(table, pts)
     doubled = False
     for _ in range(_MAX_BISECTIONS):
         mag = np.abs(vals)
@@ -727,7 +806,7 @@ def _contour(p: FieldProfile, c: Coupling, region):
         idx = np.nonzero(bad)[0]
         mids = 0.5 * (pts[idx] + pts[idx + 1])
         pts = np.insert(pts, idx + 1, mids)
-        vals = np.insert(vals, idx + 1, analytic_continue_a(coarse, c, mids))
+        vals = np.insert(vals, idx + 1, _a_values(table, mids))
     else:
         raise ContourThroughZero("contour refinement limit reached")
     turns = float(np.sum(dlog.imag)) / (2.0 * np.pi)
@@ -751,17 +830,16 @@ def _moment_roots(pts: np.ndarray, dlog: np.ndarray, n: int, region) -> np.ndarr
     return centre + scale * np.roots([(-1) ** m * e[m] for m in range(n + 1)])
 
 
-def _newton_zeros(p: FieldProfile, c: Coupling, starts, cfg: IntegratorConfig) -> np.ndarray:
+def _newton_zeros(table: _ColumnTable, starts) -> np.ndarray:
     """Newton iteration on a(k) from every start at once, with a central
     finite-difference derivative; each iteration is one batched evaluation
-    of a at the starts not yet converged."""
+    of a (from the meet table) at the starts not yet converged."""
     k = np.array(starts, dtype=np.complex128)
     live = np.arange(len(k))
     for _ in range(_NEWTON_MAX_ITER):
         kl = k[live]
         d = 1e-5 * (1.0 + np.abs(kl))
-        a0, ap, am = analytic_continue_a(
-            p, c, np.concatenate([kl, kl + d, kl - d]), cfg).reshape(3, -1)
+        a0, ap, am = _a_values(table, np.concatenate([kl, kl + d, kl - d])).reshape(3, -1)
         da = (ap - am) / (2.0 * d)
         flat = np.abs(da) < 1e-14
         if flat.any():
@@ -788,7 +866,9 @@ def find_zeros(p: FieldProfile, c: Coupling,
     contour moments s_p = (1/2 pi i) oint k^p d log a, p <= N, give the
     zeros as the roots of a polynomial (Newton's identities).  One batched
     Newton run on the full profile polishes every root; a zero's order is
-    the number of roots that land on it.  ContourThroughZero is raised
+    the number of roots that land on it.  The contour samples one column
+    table of the decimated profile, Newton and the norming constants one of
+    the full profile, each built once.  ContourThroughZero is raised
     when a(k) vanishes on the boundary (on the real axis: a spectral
     singularity) or s0 is not close to an integer.
     """
@@ -799,17 +879,20 @@ def find_zeros(p: FieldProfile, c: Coupling,
     n, pts, dlog = _contour(p, c, region)
     if n == 0:
         return []
-    roots = _newton_zeros(p, c, _moment_roots(pts, dlog, n, region), cfg)
+    table = _column_table(p, c, cfg)
+    roots = _newton_zeros(table, _moment_roots(pts, dlog, n, region))
     same = np.abs(roots[:, None] - roots) < 1e-7 * (1.0 + np.abs(roots[:, None]))
+    # each zero once, counted in the order of its first copy
+    first = [i for i in sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag))
+             if not same[i, :i].any()]
+    norming = _norming_values(table, roots[first])
     out = []
-    for i in sorted(range(n), key=lambda i: (roots[i].real, roots[i].imag)):
-        if same[i, :i].any():
-            continue  # counted in the order of its first copy
+    for i, b0 in zip(first, norming):
         k_star = complex(roots[i])
         if k_star.imag < 1e-4:
             warnings.warn(f"zero at {k_star} lies within 1e-4 of the real axis")
         out.append(DiscreteEigenvalue(position=k_star, order=int(same[i].sum()),
-                                      norming=norming_constant(p, c, k_star, cfg)))
+                                      norming=complex(b0)))
     return out
 
 

@@ -9,6 +9,15 @@ from nlsquench.core import trapezoid_weights
 from nlsquench.glm import _TERM_STOP, SeriesDiverging
 
 
+def f_kernel(rd, x, t=0.0):
+    """F(x) = integral dk/(2 pi) rho(k, t) e^{-ikx} of RadiativeData rd, by
+    trapezoid quadrature over its k samples, with rho(k, t) = e^{-4ik^2 t}
+    rho(k)."""
+    k = rd.kgrid.samples
+    rho = rd.rho * np.exp(-4j * k ** 2 * t)
+    return complex(np.sum(trapezoid_weights(k) * rho * np.exp(-1j * k * x)) / (2.0 * np.pi))
+
+
 def kernel_matrices(rho, k):
     """x-independent pieces of the discretised operators:
 

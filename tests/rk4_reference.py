@@ -88,15 +88,28 @@ def _columns(p, c, k, cfg, j_lo, j_hi, j_stop_r, j_stop_l):
     return r[..., 0], lc[..., 0]
 
 
-def a_of_k(p, c, k, cfg):
-    """a(k) = det(R, L) with both columns met at the central node."""
+def _meet(p, c, k, cfg):
+    """R and L at the central node, each (nk, 2)."""
     n = len(_working_samples(p, cfg)[0])
     imeet = n // 2
     m = cfg.substeps(p.h)
     lo, hi = _support_bounds(p)
     r, lc = _columns(p, c, k, cfg, min(lo * m, imeet), max(hi * m, imeet), imeet, imeet)
-    r, lc = r[-1], lc[-1]
+    return r[-1], lc[-1]
+
+
+def a_of_k(p, c, k, cfg):
+    """a(k) = det(R, L) with both columns met at the central node."""
+    r, lc = _meet(p, c, k, cfg)
     return r[:, 0] * lc[:, 1] - r[:, 1] * lc[:, 0]
+
+
+def norming(p, c, k, cfg):
+    """b0 with L = b0 R at the central node, from the larger entry of R."""
+    r, lc = _meet(p, c, k, cfg)
+    i = (np.abs(r[:, 1]) > np.abs(r[:, 0])).astype(int)
+    rows = np.arange(len(r))
+    return lc[rows, i] / r[rows, i]
 
 
 def columns_full(p, c, k0, cfg):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nlsquench import zsdirect
+from nlsquench import darboux, zsdirect
 from nlsquench.closedforms import SolitonParamsFD, soliton_profile_fd_defocusing
 from nlsquench.core import (
     Coupling,
@@ -149,11 +149,13 @@ def test_strip_radiative_profile_is_noop(gauss_half):
 @pytest.mark.parametrize("c", [Coupling(0.5), Coupling(0.0)])
 def test_strip_searches_only_at_focusing_couplings(gauss_half, monkeypatch, c):
     # a rapidly decreasing field has no zeros of a(k) off the focusing ray,
-    # so the contour is never sampled there
+    # so a(k) is never sampled there: every sample goes through a column
+    # table, and none may be built
     def no_search(*args, **kwargs):
         raise AssertionError("a(k) sampled at a non-focusing coupling")
 
-    monkeypatch.setattr(zsdirect, "analytic_continue_a", no_search)
+    for mod in (zsdirect, darboux):
+        monkeypatch.setattr(mod, "_column_table", no_search)
     out, steps = strip_solitons(gauss_half, c)
     assert steps == [] and out is gauss_half
 

@@ -25,7 +25,9 @@ from nlsquench.zsdirect import (
     IntegratorDiverged,
     _propagate,
     analytic_continue_a,
+    find_zeros,
     jost_plus,
+    norming_constant,
     scattering_batch,
 )
 from conftest import grid
@@ -131,6 +133,52 @@ def test_continuation_matches_loop(sech10):
     want = ref.a_of_k(sech10, C, k, cfg)
     assert np.max(np.abs(got - want) / np.abs(want)) < RTOL
     assert abs(analytic_continue_a(sech10, C, k[0], cfg) - want[0]) < RTOL * abs(want[0])
+
+
+@pytest.mark.parametrize("L", [25.0, 24.98])
+@pytest.mark.parametrize("decimated", [False, True], ids=["full", "decimated"])
+def test_fused_columns_match_loop_on_census_box(L, decimated):
+    # corners and mid-edges of the census search box at its widest (k_max 4,
+    # A = 1.25, nu = 3.5: top edge 1.05 nu A + 0.1), where the degree-16
+    # rows see the largest |2ik|; V = 0.3 keeps the threshold zero of a at
+    # nu = 3.5 off the bottom mid-edge.  L = 24.98 gives step counts that
+    # are not a multiple of 4, so the last row is padded with identities
+    p = soliton_profile_rd(SolitonParamsRD(A=1.25, V=0.3), grid(L, 0.02), boundary_tol=1e-8)
+    cfg = IntegratorConfig(step=0.01)
+    if decimated:
+        p, cfg = zsdirect._decimated(p), IntegratorConfig()
+    c = Coupling(3.5j)
+    x0, x1, y0, y1 = -4.0, 4.0, zsdirect._AXIS_GAP, 1.05 * 3.5 * 1.25 + 0.1
+    ym = 0.5 * (y0 + y1)
+    k = np.array([x0 + 1j * y0, 1j * y0, x1 + 1j * y0, x1 + 1j * ym,
+                  x1 + 1j * y1, 1j * y1, x0 + 1j * y1, x0 + 1j * ym])
+    table = zsdirect._column_table(p, c, cfg)
+    imeet = len(table.xs) // 2
+    counts = (imeet - table.j_lo, table.j_hi - imeet)
+    assert L == 25.0 or any(n % 4 for n in counts)
+    got = analytic_continue_a(p, c, k, cfg)
+    want = ref.a_of_k(p, c, k, cfg)
+    assert np.max(np.abs(got - want) / np.abs(want)) < RTOL
+    got = np.array([norming_constant(p, c, kv, cfg) for kv in k])
+    want = ref.norming(p, c, k, cfg)
+    assert np.max(np.abs(got - want) / np.abs(want)) < RTOL
+
+
+def test_find_zeros_builds_two_tables(monkeypatch):
+    # one table of the decimated profile for the contour, one of the full
+    # profile for Newton and the norming constants
+    p = soliton_profile_rd(SolitonParamsRD(A=1.0, V=0.3), grid(25.0, 0.02), boundary_tol=1e-8)
+    built = []
+    build = zsdirect._column_table
+
+    def counting(prof, *args, **kwargs):
+        built.append(prof.h)
+        return build(prof, *args, **kwargs)
+
+    monkeypatch.setattr(zsdirect, "_column_table", counting)
+    zeros = find_zeros(p, C, (-2.0, 2.0, 0.05, 2.0), IntegratorConfig(step=0.01))
+    assert len(zeros) == 1
+    assert built == [pytest.approx(0.04), pytest.approx(0.02)]
 
 
 def test_columns_full_matches_loop(sech10):
@@ -304,9 +352,12 @@ def bump():
 @pytest.mark.parametrize("call", [
     lambda p: scattering_batch(p, Coupling(1j), [0.0, 1.0]),
     lambda p: analytic_continue_a(p, Coupling(1j), 0.3 + 0.5j),
+    lambda p: find_zeros(p, Coupling(1j), (-1.0, 1.0, 1e-6, 2.0)),
+    lambda p: norming_constant(p, Coupling(1j), 0.5j),
     lambda p: higher_level_theta(p, Coupling(1j), Coupling(2j), 0.5),
     lambda p: apply_bt(p, Coupling(1j), DarbouxStep(k0=0.5j)),
-], ids=["scattering_batch", "analytic_continue_a", "higher_level_theta", "apply_bt"])
+], ids=["scattering_batch", "analytic_continue_a", "find_zeros", "norming_constant",
+        "higher_level_theta", "apply_bt"])
 def test_overflow_raises_integrator_diverged(bump, call):
     with pytest.raises(IntegratorDiverged):
         call(bump)

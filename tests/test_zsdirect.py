@@ -7,6 +7,7 @@ from nlsquench.core import (
     Coupling,
     FiniteDensity,
     KGrid,
+    NlsQuenchError,
     ScatteringData,
     Schwartz,
     make_kgrid,
@@ -15,6 +16,7 @@ from nlsquench.core import (
 from nlsquench.closedforms import SolitonParamsRD, soliton_profile_rd, zeros_rapid
 from nlsquench.zsdirect import (
     BranchPoint,
+    ComplexSpectralSample,
     ContourThroughZero,
     DivisionByZeroA,
     IntegratorConfig,
@@ -189,6 +191,21 @@ def test_scatter_grid_sech_eigenvalue(sech25, fine_cfg):
     assert abs(z.position - 0.5j) < 1e-6
     assert z.order == 1
     assert sd.det_defect() < 1e-8
+
+
+@pytest.mark.parametrize("k", [np.array([0.4, 0.5 + 0.3j]), [0.4 + 0j, 0.5 + 0.3j]],
+                         ids=["numpy", "python-complex"])
+def test_real_axis_pass_refuses_complex_k(sech25, k):
+    # a complex k used to be cut to its real part (numpy) or raise TypeError
+    # (a list of Python complex); a numerical failure exits the CLI with 2
+    assert issubclass(ComplexSpectralSample, NlsQuenchError)
+    with pytest.raises(ComplexSpectralSample):
+        scattering_batch(sech25, Coupling(1j), k)
+    with pytest.raises(ComplexSpectralSample):
+        jost_plus(sech25, Coupling(1j), k[1])
+    # a complex dtype on the real axis is accepted
+    real = scattering_batch(sech25, Coupling(1j), [0.4, 0.5])
+    assert np.array_equal(scattering_batch(sech25, Coupling(1j), [0.4 + 0j, 0.5 + 0j]), real)
 
 
 # --- analytic continuation and zeros ---------------------------------------
