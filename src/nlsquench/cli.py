@@ -38,7 +38,7 @@ from .core import (
 )
 from .darboux import DarbouxStep, apply_bt, dual_quench
 from .glm import radiative_part, reconstruct_field
-from .oracle import StepperConfig, evolve, isospectral_check
+from .oracle import StepperConfig, evolve_snapshots, isospectral_check
 from .quench import _factorization, classify_post_quench, quench_map, verify_factorization
 from .zsdirect import IntegratorConfig, find_zeros, scatter_grid
 
@@ -205,8 +205,7 @@ def cmd_evolve(cfg, args) -> int:
     n_snap = max(1, int(cfg.get("snapshots", 1)))
     times = [t_final * (i + 1) / n_snap for i in range(n_snap)]
     snaps = []
-    for tv in times:
-        pt = evolve(p, c, tv, scfg)
+    for tv, pt in zip(times, evolve_snapshots(p, c, times, scfg)):
         d = pt.to_json_dict()
         d["time"] = tv
         snaps.append(d)

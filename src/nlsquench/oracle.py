@@ -10,6 +10,8 @@ scattering data of an evolved field moves only by the known phase law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
+
 import numpy as np
 
 from .core import (
@@ -102,28 +104,42 @@ def _split_steps(values: np.ndarray, box: float, c2: float, rho2: float,
     return np.fft.ifft(spec)
 
 
-def step(p: FieldProfile, c: Coupling, cfg: StepperConfig = DEFAULT_STEPPER) -> FieldProfile:
-    """One Strang step of length cfg.dt on the periodic stepper grid."""
-    return evolve(p, c, cfg.dt, cfg)
-
-
 def evolve(p: FieldProfile, c: Coupling, t: float,
            cfg: StepperConfig = DEFAULT_STEPPER) -> FieldProfile:
     """Evolve to time t: full steps of dt plus one final fractional step."""
-    if t < 0:
+    return evolve_snapshots(p, c, [t], cfg)[0]
+
+
+def evolve_snapshots(p: FieldProfile, c: Coupling, times: Sequence[float],
+                     cfg: StepperConfig = DEFAULT_STEPPER) -> List[FieldProfile]:
+    """evolve(p, c, t) at every t of the ascending times, from one
+    trajectory on the dt grid: each snapshot branches off it after its
+    int(t/dt) full steps with its own fractional step, so the cost is that
+    of the last time alone."""
+    if any(t < 0 for t in times):
         raise NlsQuenchError("negative evolution times are not supported")
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise NlsQuenchError("snapshot times must be ascending")
     rp = _resampled_profile(p, cfg)
-    if t == 0:
-        return rp
     c2 = (c.value ** 2).real  # c^2 is real on both admissible rays
     rho2 = _rho_sq(p)
-    n_full = int(t / cfg.dt)
-    rem = t - n_full * cfg.dt
-    vals = _split_steps(rp.values, 2.0 * p.L, c2, rho2, cfg.dt, n_full, _MAX_AMP)
-    if rem > 1e-15 * max(t, 1.0):
-        vals = _split_steps(vals, 2.0 * p.L, c2, rho2, rem, 1, _MAX_AMP)
-    return FieldProfile(L=rp.L, h=rp.h, values=vals, asymptotics=rp.asymptotics,
-                        boundary_tol=rp.boundary_tol)
+    box = 2.0 * p.L
+    vals, done = rp.values, 0
+    out = []
+    for t in times:
+        if t == 0:
+            out.append(rp)
+            continue
+        n_full = int(t / cfg.dt)
+        rem = t - n_full * cfg.dt
+        vals = _split_steps(vals, box, c2, rho2, cfg.dt, n_full - done, _MAX_AMP)
+        done = n_full
+        snap = vals
+        if rem > 1e-15 * max(t, 1.0):
+            snap = _split_steps(vals, box, c2, rho2, rem, 1, _MAX_AMP)
+        out.append(FieldProfile(L=rp.L, h=rp.h, values=snap, asymptotics=rp.asymptotics,
+                                boundary_tol=rp.boundary_tol))
+    return out
 
 
 def mass(p: FieldProfile) -> float:

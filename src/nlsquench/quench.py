@@ -30,8 +30,9 @@ from .zsdirect import (
     IntegratorDiverged,
     _as_array,
     _chunk_steps,
+    _decay_steps,
+    _decay_table,
     _mul,
-    _frame_steps,
     _propagate,
     _rk4_matrix,
     _rows,
@@ -162,7 +163,9 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     e^{ik sigma3 x} gauge) and Theta with generator (c'-c) Phi^dag What Phi,
     from one end of the grid to the other.  Both couplings are focusing or
     zero, so Phi and Theta lie in SU(2) and are carried as their first rows
-    (zsdirect._mul with sigma = -1).
+    (zsdirect._mul with sigma = -1).  Phi's steps come from the rapid-decay
+    step table of the transfer pass (zsdirect._decay_table, one step per
+    row), whose row phases e^{2ikx_j} also turn Theta's stage values.
 
     direction=+1 integrates upward from the left end (Theta_-);
     direction=-1 integrates downward from the right end (Theta_+).
@@ -186,9 +189,8 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     # step, so its chunks are a quarter as long; nk alone fixes their size,
     # which keeps runs bit-identical
     per = _chunk_steps(4 * nk)
-    phi_steps, phases = _frame_steps(tuple(cv * v for v in q), tuple(cv * np.conj(v) for v in q),
-                                     (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), k,
-                                     xs[start + direction * np.arange(n - 1)], s, per)
+    table = _decay_table(c, q, xs[start + direction * np.arange(n - 1)], s)
+    phi_steps, phases = _decay_steps(table, k)
 
     phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE[:2])
     phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)

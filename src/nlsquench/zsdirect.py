@@ -9,12 +9,14 @@ package run through one linear propagator (step matrices chained by tree
 products and prefix scans), defined here.  At every admissible real k the
 frames, the step matrices, their products and S obey the reality
 involution [[alpha, beta], [sigma beta*, alpha*]], sigma = c*/c, so the
-transfer pass carries only (alpha, beta), whatever the asymptotics; only
-the Jost columns at complex k keep all four entries.  Their steps are
-polynomials in k, tabulated once per profile: they give the analytic
-continuation of a(k) into the upper half-plane (as a determinant of the two
-decaying Jost columns) and a search for its zeros by the moments of one
-contour.
+transfer pass carries only (alpha, beta), whatever the asymptotics.  On a
+rapidly decreasing profile the real-axis steps are polynomials in u =
+e^{iks}, tabulated once per profile and multiplied out four steps to a row;
+a finite-density background keeps a per-k basis.  Only the Jost columns at
+complex k keep all four entries.  Their steps are polynomials in k, also
+tabulated once per profile: they give the analytic continuation of a(k)
+into the upper half-plane (as a determinant of the two decaying Jost
+columns) and a search for its zeros by the moments of one contour.
 """
 
 from __future__ import annotations
@@ -166,35 +168,6 @@ def _support_bounds(p: FieldProfile):
 # ---------------------------------------------------------------------------
 # asymptotic frames
 
-@dataclass(frozen=True)
-class AsymptoticFrame:
-    """Diagonalisation of the constant-background problem at one k:
-    E_pm(x) = P_pm exp(-i mu x sigma3) solves E_x + (i k sigma3 - W_pm) E = 0."""
-
-    k: complex
-    mu: complex
-    p_plus: np.ndarray
-    p_minus: np.ndarray
-
-    def ode_residual(self, x: float, side: str, c: Coupling, asym) -> float:
-        """max |E_x + (ik sigma3 - W_pm) E| via an exact derivative."""
-        p = self.p_plus if side == "+" else self.p_minus
-        d = np.diag([np.exp(-1j * self.mu * x), np.exp(1j * self.mu * x)])
-        e = p @ d
-        ex = p @ (np.diag([-1j * self.mu, 1j * self.mu]) @ d)
-        w = _background_w(c, asym, side)
-        res = ex + (1j * self.k * np.diag([1.0, -1.0]) - w) @ e
-        return float(np.max(np.abs(res)))
-
-
-def _background_w(c: Coupling, asym, side: str) -> np.ndarray:
-    if isinstance(asym, Schwartz):
-        return np.zeros((2, 2), dtype=np.complex128)
-    rho, theta = asym.rho, asym.theta
-    edge = rho * np.exp(1j * theta) if side == "+" else rho
-    return c.value * np.array([[0.0, edge], [np.conj(edge), 0.0]])
-
-
 def _mu_branch(c: Coupling, asym, k):
     """mu with mu^2 = k^2 - c^2 rho^2, cut along the segment joining the
     branch points +-c rho; on the allowed real rays mu ~ k at +-infinity in
@@ -204,16 +177,6 @@ def _mu_branch(c: Coupling, asym, k):
         return k.copy()
     s = c.value * asym.rho
     return np.sqrt(k - s) * np.sqrt(k + s)
-
-
-def asymptotic_frame(c: Coupling, asymptotics, k: complex) -> AsymptoticFrame:
-    """Frame matrices at one spectral point (complex k allowed): the
-    one-point view of _frame_arrays, with P+ = P- (P-^{-1} P+) rebuilt from
-    the product the transfer pass starts from.  BranchPoint is raised where
-    |mu| < 1e-9 (1 + |k|)."""
-    k = complex(k)
-    mu, pm, _, core = _frame_arrays(c, asymptotics, np.array([k]))
-    return AsymptoticFrame(k=k, mu=complex(mu[0]), p_plus=pm[0] @ core[0], p_minus=pm[0])
 
 
 def _frame_arrays(c: Coupling, asym, k: np.ndarray):
@@ -376,29 +339,28 @@ def _rk4_matrix(gens, s: float, sigma=None):
     return _eye_plus(s / 6.0, acc, sigma)
 
 
-def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
+def _frame_steps(d1, d2, a, b, mu, x, s: float):
     """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
-    D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step).
-    d1, d2 hold the (start, middle, end) stage values of every step; A, B
-    are per-k entry tuples with A^2 = B^2 = 0 and AB + BA = I, so a stage
-    generator G_i squares to d1_i d2_i I.  By Cayley-Hamilton, with delta
-    = d1 d2 at the middle, the step is exactly I + s^2 delta/6 I + (s/6)(1 +
-    s^2 delta/2)(G_1 + G_3) + (2s/3) G_2 + (s^2/6)(G_2 G_1 + G_3 G_2) +
-    (s^4 delta/24) G_3 G_1: per-step scalars, tabulated once, times per-k
-    matrices (terms whose matrix vanishes at every k are dropped).  A chunk
-    is one BLAS product, with I added after it so that the product sums
-    only the O(s) terms.  The phases e^{2i mu x_j} are one exact exp per
-    chunk times a ramp table e^{2i mu s m}; a rotation folded from step to
-    step would accumulate rounding with the step count.
+    D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step),
+    on a finite-density background.  d1, d2 hold the (start, middle, end)
+    stage values of every step; A, B are per-k entry tuples with A^2 = B^2
+    = 0 and AB + BA = I, so a stage generator G_i squares to d1_i d2_i I.
+    By Cayley-Hamilton, with delta = d1 d2 at the middle, the step is
+    exactly I + s^2 delta/6 I + (s/6)(1 + s^2 delta/2)(G_1 + G_3) + (2s/3)
+    G_2 + (s^2/6)(G_2 G_1 + G_3 G_2) + (s^4 delta/24) G_3 G_1: 19 per-step
+    scalars, tabulated once, times per-k matrices.  A chunk is one BLAS
+    product, with I added after it so that the product sums only the O(s)
+    terms.  The phases e^{2i mu x_j} are one exact exp per chunk times a
+    ramp table e^{2i mu s m}; a rotation folded from step to step would
+    accumulate rounding with the step count.
 
     Every caller has real mu and s, d2 = sigma d1* at every stage, and A, B
     with d1 A + d2 B in the algebra of _mul's sigma form (A = P^{-1} e12 P,
     B = P^{-1} e21 P with P in the algebra), so the steps lie in it too and
-    only their first rows are tabulated: 7 of the 13 live terms for P = I.
+    only their first rows are tabulated.
 
-    Returns (steps, phases): the first-row step-matrix entries and the
-    phases e^{2i mu x_j} of steps i0..i1-1, each (i1 - i0, nk), for chunks
-    of at most per steps (default _chunk_steps(nk))."""
+    Returns steps(i0, i1), the first-row step-matrix entries of steps
+    i0..i1-1, each (i1 - i0, nk), for chunks of _chunk_steps(nk) steps."""
     nk = len(mu)
     u = np.exp(1j * mu * s)
     with _unchecked():
@@ -421,9 +383,7 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
         coef = np.stack(coef, axis=1)  # (steps, 19)
         basis = np.array([[np.broadcast_to(e, (nk,)) for e in m[:2]] for m in basis],
                          dtype=np.complex128).reshape(len(basis), 2 * nk)
-        live = np.any(basis != 0.0, axis=1)  # A_i A_j and B_i B_j vanish for P = I
-        coef, basis = coef[:, live], basis[live]
-        span = np.arange(min(per or _chunk_steps(nk), len(x)))
+        span = np.arange(min(_chunk_steps(nk), len(x)))
         ramp = np.exp(2j * np.multiply.outer(s * span, mu))
 
     def steps(i0, i1):
@@ -434,10 +394,7 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float, per=None):
         m[:, 1] *= np.exp(2j * mu * x[i0])
         return m[:, 0], m[:, 1]
 
-    def phases(i0, i1):
-        return np.exp(2j * mu * x[i0]) * ramp[:i1 - i0]
-
-    return steps, phases
+    return steps
 
 
 def _phased(m, e):
@@ -450,6 +407,132 @@ def _stages(nodes, mids, start: int, direction: int, i0: int, i1: int):
     node start in the given direction."""
     j = start + direction * np.arange(i0, i1)
     return nodes[j], mids[j if direction > 0 else j - 1], nodes[j + direction]
+
+
+# ---------------------------------------------------------------------------
+# rapidly decreasing real-axis passes: one k-independent table in u = e^{iks}
+#
+# For P = I the frame generator is [[0, d1 e^{2ikx}], [d2 e^{-2ikx}, 0]].
+# Relative to its first node (D_j^{-1} M_j D_j) an RK4 step sees the stage
+# phases 1, u, u^2, and the closed form of _frame_steps makes its first row
+# exactly a polynomial of degree <= 2 in u with profile-only coefficients:
+#   alpha = 1 + s^2 delta/6 + (s^2/6)(d1_1 d2_0 + d1_2 d2_1) u
+#           + (s^4 delta/24) d1_2 d2_0 u^2,
+#   beta = (s/6)(1 + s^2 delta/2)(d1_0 + d1_2 u^2) + (2s/3) d1_1 u.
+# The actual step has beta times the row phase e^{2ikx_j}.  Adjacent rows
+# multiply out exactly in sigma form (a row of n steps has degree 2n, and
+# the later row's gauge shift is u^{2n}):
+#   alpha = alpha_L alpha_R + sigma beta_L beta~_R,
+#   beta = alpha_L beta_R + beta_L alpha~_R,
+# with p~ = u^{2n} conj(p(u)), p's coefficients reversed and conjugated.
+# Tables keep alpha - 1, so the products and the per-k evaluation sum only
+# the small terms and the identity is added last.  End-value transfer
+# passes fuse 4 steps to a row (degree 8), which also removes the two widest
+# levels of the tree product; jost_plus and Phi of the Theta pass record
+# every node and evaluate the same table one step per row.
+
+# steps per row of a fused step table (real axis and Jost columns)
+_FUSED_LEVELS = 2
+
+
+@dataclass(frozen=True)
+class _DecayTable:
+    """k-independent first rows of the RK4 steps of a rapidly decreasing
+    real-axis pass, each in the gauge of its row's first node: coef (rows,
+    2, degree + 1) holds the coefficients of alpha - 1 and beta in u =
+    e^{iks}, x the first node of every row; rows start stride apart."""
+
+    coef: np.ndarray
+    x: np.ndarray
+    s: float
+    stride: float
+
+
+def _pconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of polynomials, coefficient arrays (da, n) and (db, n)."""
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1]), dtype=np.complex128)
+    for i in range(len(a)):
+        out[i:i + len(b)] += a[i] * b
+    return out
+
+
+def _fuse_rows(a: np.ndarray, b: np.ndarray, sigma: float):
+    """One level of row products (rows 2j+1 @ 2j) of a table with alpha - 1
+    in a and beta in b, coefficient arrays (degree + 1, rows), even rows."""
+    (al, bl), (ar, br) = (a[:, 1::2], b[:, 1::2]), (a[:, 0::2], b[:, 0::2])
+    n = len(ar) - 1
+    a = _pconv(al, ar) + sigma * _pconv(bl, np.conj(br[::-1]))
+    a[:n + 1] += al + ar
+    b = _pconv(al, br) + _pconv(bl, np.conj(ar[::-1]))
+    b[:n + 1] += br
+    b[n:] += bl
+    return a, b
+
+
+def _decay_table(c: Coupling, q, x: np.ndarray, s: float, levels: int = 0) -> _DecayTable:
+    """Step table of Y' = [[0, d1 e^{2ikx}], [d2 e^{-2ikx}, 0]] Y with d1 =
+    c q and d2 = c q*, for steps of size s from the nodes x (one per step);
+    q holds the field's (start, middle, end) stage values of every step.
+    Each row multiplies out 2^levels steps, in order; the step count is
+    padded with identities."""
+    sigma = c.involution_sign
+    d1 = [c.value * v for v in q]
+    d2 = [c.value * np.conj(v) for v in q]
+    per_row = 1 << levels
+    with _unchecked():
+        delta = d1[1] * d2[1]
+        ends = (s / 6.0) * (1.0 + (s * s / 2.0) * delta)
+        s2 = s * s / 6.0
+        a = np.stack([s2 * delta, s2 * (d1[1] * d2[0] + d1[2] * d2[1]),
+                      (s ** 4 / 24.0) * delta * d1[2] * d2[0]])
+        b = np.stack([ends * d1[0], (2.0 * s / 3.0) * d1[1], ends * d1[2]])
+        pad = ((0, 0), (0, -len(x) % per_row))
+        a, b = np.pad(a, pad), np.pad(b, pad)
+        for _ in range(levels):
+            a, b = _fuse_rows(a, b, sigma)
+    return _DecayTable(np.stack([a.T, b.T], axis=1), x[::per_row], s, s * per_row)
+
+
+# rows per block of row phases: one exact exp at each block's first node
+_PHASE_ROWS = 16
+
+
+def _decay_steps(table: _DecayTable, k: np.ndarray):
+    """(steps, phases) of a table at real k (nk,).  steps(i0, i1) gives the
+    first-row entries of rows i0..i1-1, each (i1 - i0, nk), from one (2 rows
+    x coefficients) @ (coefficients x nk) product; phases(i0, i1) gives
+    e^{2ikx} at their first nodes: one exp at the first node of every block
+    of _PHASE_ROWS rows times a ramp table.  A ramp across a whole chunk
+    would carry the rounding of its argument, ~ |k| times the chunk's length
+    in x, into every phase of the chunk."""
+    ncoef = table.coef.shape[2]
+    nk = len(k)
+    powers = np.exp(1j * table.s * np.multiply.outer(np.arange(ncoef), k))
+    ramp = np.exp(2j * np.multiply.outer(table.stride * np.arange(_PHASE_ROWS), k))
+
+    def turn(m, i0):
+        """m (rows i0.., nk) times the row phases, in place."""
+        n = len(m)
+        starts = np.exp(2j * np.multiply.outer(table.x[i0:i0 + n:_PHASE_ROWS], k))
+        full = n - n % _PHASE_ROWS
+        blocks = m[:full].reshape(-1, _PHASE_ROWS, nk)
+        blocks *= ramp
+        blocks *= starts[:full // _PHASE_ROWS, None]
+        m[full:] *= ramp[:n - full]
+        m[full:] *= starts[full // _PHASE_ROWS:]
+        return m
+
+    def steps(i0, i1):
+        n = i1 - i0
+        m = (table.coef[i0:i1].reshape(2 * n, ncoef) @ powers).reshape(n, 2, nk)
+        m[:, 0] += 1.0
+        turn(m[:, 1], i0)
+        return m[:, 0], m[:, 1]
+
+    def phases(i0, i1):
+        return turn(np.ones((i1 - i0, nk), dtype=np.complex128), i0)
+
+    return steps, phases
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +568,6 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     mu, pm, pmi, seed_core = _frame_arrays(c, p.asymptotics, k)
     sigma = c.involution_sign
 
-    q_left, q_right = p.edge_values()
-    d1 = (c.value * (q_nodes - q_left), c.value * (q_mids - q_left))
-    d2 = (c.value * np.conj(q_nodes - q_left), c.value * np.conj(q_mids - q_left))
-
     n = len(xs)
     if collect:
         j_lo, j_hi = 0, n - 1
@@ -497,16 +576,29 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
         lo, hi = _support_bounds(p)
         j_lo, j_hi = lo * m, hi * m
     # G = D(x) (d1 A + d2 B) D(x)^{-1} with D = diag(e^{i mu x}, e^{-i mu x}),
-    # A = P^{-1} e12 P and B = P^{-1} e21 P (A = e12, B = e21 for rapid decay)
-    e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+    # A = P^{-1} e12 P and B = P^{-1} e21 P (A = e12, B = e21 for rapid decay,
+    # whose steps come from one table in u = e^{iks})
     nsteps = j_hi - j_lo
-    build, _ = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
-                            _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu,
-                            xs[j_hi - np.arange(nsteps)], -h)
+    x_steps = xs[j_hi - np.arange(nsteps)]
+    if isinstance(p.asymptotics, Schwartz):
+        # end values from rows of fused steps; a trajectory records every step
+        table = _decay_table(c, _stages(q_nodes, q_mids, j_hi, -1, 0, nsteps), x_steps, -h,
+                             0 if collect else _FUSED_LEVELS)
+        build, _ = _decay_steps(table, k)
+        nrows = len(table.coef)
+    else:
+        q_left = p.edge_values()[0]
+        d1 = (c.value * (q_nodes - q_left), c.value * (q_mids - q_left))
+        d2 = (c.value * np.conj(q_nodes - q_left), c.value * np.conj(q_mids - q_left))
+        e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+        build = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
+                             _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu,
+                             x_steps, -h)
+        nrows = nsteps
 
     # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there
     y0 = _phased(_entries(seed_core), np.exp(2j * mu * xs[j_hi]))
-    y, traj = _propagate(build, nsteps, len(k), y0[:2],
+    y, traj = _propagate(build, nrows, len(k), y0[:2],
                          record=np.arange(n) if collect else None, sigma=sigma)
     y = _as_array(y, sigma)
     if not np.isfinite(y).all():
@@ -545,12 +637,6 @@ def jost_plus(p: FieldProfile, c: Coupling, k: float,
     return JostSolution(x=xs, samples=psi[:, 0], k=complex(k))
 
 
-def scattering_matrix(p: FieldProfile, c: Coupling, k: float,
-                      cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> np.ndarray:
-    """S(k) at one real k; see scattering_batch."""
-    return scattering_batch(p, c, [k], cfg)[0]
-
-
 def scattering_batch(p: FieldProfile, c: Coupling, k: Sequence[float],
                      cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> np.ndarray:
     """S(k) = lim_{x -> left end} E_-^{-1}(x) Psi+(x) at every k, shape
@@ -587,9 +673,6 @@ def _require_schwartz(p: FieldProfile, what: str):
             f"{what} is implemented for rapidly decreasing profiles only"
         )
 
-
-# steps per row of a fused column table: 2^_FUSED_LEVELS
-_FUSED_LEVELS = 2
 
 # Step tables hold 2x2 polynomial matrices as coefficient arrays (2, 2,
 # ncoef, rows): coefficient i of entry (r, c) of row j at [r, c, i, j], so

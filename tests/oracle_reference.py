@@ -35,3 +35,9 @@ def evolve(p, c, t, cfg):
     if rem > 1e-15 * max(t, 1.0):
         vals = split_steps(vals, 2.0 * p.L, c2, _rho_sq(p), rem, 1, oracle._MAX_AMP)
     return vals
+
+
+def step(p, c, cfg):
+    """One Strang step of length cfg.dt on the periodic stepper grid, from
+    oracle.evolve."""
+    return oracle.evolve(p, c, cfg.dt, cfg)

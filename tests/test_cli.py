@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from nlsquench import cli, quench, zsdirect
+from nlsquench import cli, oracle, quench, zsdirect
 from nlsquench.cli import main
 from nlsquench.core import Coupling, Schwartz, dump_json, load_json, make_profile
 
@@ -206,6 +206,38 @@ def test_evolve_snapshots(tmp_path):
     assert [s["time"] for s in snaps] == [0.01, 0.02]
     vals = np.array(snaps[-1]["re"]) + 1j * np.array(snaps[-1]["im"])
     assert abs(np.max(np.abs(vals)) - 1.0) < 1e-4  # soliton peak survives
+
+
+def test_evolve_snapshots_branch_off_one_trajectory(tmp_path, monkeypatch):
+    # 0.0301 is not a multiple of dt, nor are its thirds: every snapshot
+    # needs its own fractional step, and the full steps run once, 30 in all
+    cfg = {
+        "profile": {"builtin": "sech", "L": 20.0, "n": 1001, "boundary_tol": 1e-7},
+        "coupling": {"im": 1.0},
+        "time": 0.0301,
+        "snapshots": 3,
+        "stepper": {"dt": 1e-3, "n_modes": 512},
+    }
+    steps = []
+    split = oracle._split_steps
+
+    def counting(values, box, c2, rho2, dt, n_steps, max_amp):
+        steps.append(n_steps)
+        return split(values, box, c2, rho2, dt, n_steps, max_amp)
+
+    monkeypatch.setattr(oracle, "_split_steps", counting)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "run")
+    assert main(["evolve", "--config", path, "--out", out]) == 0
+    assert sum(steps) == 30 + 3
+    monkeypatch.setattr(oracle, "_split_steps", split)
+    snaps = load_json(os.path.join(out, "snapshots.json"))["snapshots"]
+    p = cli._build_profile(cfg)
+    scfg = oracle.StepperConfig(dt=1e-3, n_modes=512)
+    for snap in snaps:
+        want = oracle.evolve(p, Coupling(1j), snap["time"], scfg).values
+        got = np.array(snap["re"]) + 1j * np.array(snap["im"])
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_darboux_command(tmp_path):

@@ -18,7 +18,6 @@ from nlsquench.darboux import (
     apply_bt,
     bt_data_effect,
     dual_quench,
-    sigma_matrix,
     strip_solitons,
 )
 from nlsquench.zsdirect import (
@@ -31,6 +30,7 @@ from nlsquench.zsdirect import (
     scattering_batch,
 )
 from conftest import grid
+from darboux_reference import sigma_matrix
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ from nlsquench.oracle import (
     hamiltonian,
     isospectral_check,
     mass,
-    step,
 )
 from nlsquench.zsdirect import IntegratorConfig
 from conftest import grid
@@ -104,7 +103,7 @@ def test_fractional_final_step(sech40, focusing, cfg_fast):
 
 
 def test_single_step_matches_evolve(sech40, focusing, cfg_fast):
-    s1 = step(sech40, focusing, cfg_fast)
+    s1 = ref.step(sech40, focusing, cfg_fast)
     s2 = evolve(sech40, focusing, cfg_fast.dt, cfg_fast)
     assert np.max(np.abs(s1.values - s2.values)) < 1e-14
 

@@ -58,6 +58,59 @@ def test_scattering_batch_matches_loop(sech10, nk, step):
     assert _rel(scattering_batch(sech10, C, k, cfg), ref.transfer(sech10, C, k, cfg)) < RTOL
 
 
+@pytest.mark.parametrize("c", [Coupling(1.3j), Coupling(0.6), Coupling(0.0)],
+                         ids=["sigma-1", "sigma+1", "free"])
+@pytest.mark.parametrize("L, step", [(25.0, None), (24.99, 0.01)], ids=["h0.02", "step0.01"])
+def test_scattering_batch_rapid_decay_table_matches_loop(c, L, step):
+    # rows of four steps in u = e^{iks}; at k = +-12 the unrefined grid has
+    # |ks| = 0.24.  L = 24.99 with step 0.01 gives 4998 steps, not a
+    # multiple of 4, so the last row is padded with identities
+    p = soliton_profile_rd(SolitonParamsRD(A=1.1, V=0.3), grid(L, 0.02), boundary_tol=1e-8)
+    cfg = IntegratorConfig(step=step)
+    lo, hi = zsdirect._support_bounds(p)
+    assert step is None or (hi - lo) * cfg.substeps(p.h) % 4
+    k = np.concatenate([[-12.0, 12.0], np.linspace(-5.0, 5.0, 21)])
+    assert _rel(scattering_batch(p, c, k, cfg), ref.transfer(p, c, k, cfg)) < RTOL
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1.0])
+def test_fused_rows_are_products_of_steps(sigma):
+    # a row of 4 steps, evaluated at k, equals the ordered product of its
+    # steps, each turned by its own row phase
+    rng = np.random.default_rng(7)
+    q = tuple(rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10)))
+    x, s = 0.3 - 0.05 * np.arange(10), -0.05
+    c = Coupling(0.9j if sigma < 0 else 0.9)
+    k = np.array([-12.0, -0.7, 0.0, 2.5])
+    steps, _ = zsdirect._decay_steps(zsdirect._decay_table(c, q, x, s), k)
+    rows, _ = zsdirect._decay_steps(zsdirect._decay_table(c, q, x, s, levels=2), k)
+    single, fused = steps(0, 10), rows(0, 3)
+    for r in range(3):
+        want = zsdirect._EYE[:2]
+        for j in range(4 * r, min(4 * r + 4, 10)):
+            want = zsdirect._mul(zsdirect._rows(single, j), want, sigma)
+        got = zsdirect._rows(fused, r)
+        assert max(_rel(g, w) for g, w in zip(got, want)) < RTOL
+
+
+def test_rapid_decay_passes_skip_the_frame_basis(sech10, monkeypatch):
+    # _frame_steps serves finite density only
+    calls = []
+    frame_steps = zsdirect._frame_steps
+
+    def spy(*args):
+        calls.append(len(args[4]))
+        return frame_steps(*args)
+
+    monkeypatch.setattr(zsdirect, "_frame_steps", spy)
+    scattering_batch(sech10, C, _ks(3))
+    jost_plus(sech10, C, 0.4)
+    assert calls == []
+    p = _fd_bump()
+    scattering_batch(p, Coupling(1.0), [-2.0, 2.0])
+    assert calls == [2]
+
+
 def _fd_bump():
     x = grid(20.0, 0.05)
     return make_profile(1.0 + 0.3 * (1.0 + 0.5j) * np.exp(-x ** 2), 20.0,
@@ -316,6 +369,20 @@ def test_propagate_chunks_match_sequential_product(monkeypatch, budget, nk, nste
     end, out = _propagate(build, nsteps, nk, start, sigma=sigma)
     assert out is None
     assert _rel(zsdirect._as_array(end, sigma), states[-1]) < RTOL
+
+
+@pytest.mark.parametrize("budget, nk", [(64, 161), (50, 7)], ids=["one-row", "partial"])
+def test_fused_table_across_chunks_matches_loop(sech10, monkeypatch, budget, nk):
+    """A budget below nk gives one fused row (4 steps) per chunk; 50 with
+    seven k points gives seven rows per chunk and a partial last chunk."""
+    monkeypatch.setattr(zsdirect, "_CHUNK", budget)
+    lo, hi = zsdirect._support_bounds(sech10)
+    rows = -(-(hi - lo) // 4)
+    per = zsdirect._chunk_steps(nk)
+    assert per == 1 or rows % per
+    cfg = IntegratorConfig()
+    k = _ks(nk)
+    assert _rel(scattering_batch(sech10, C, k, cfg), ref.transfer(sech10, C, k, cfg)) < RTOL
 
 
 def test_integrations_across_chunks_match_loop(sech10, monkeypatch):

@@ -22,17 +22,16 @@ from nlsquench.zsdirect import (
     IntegratorConfig,
     UnsupportedAsymptotics,
     analytic_continue_a,
-    asymptotic_frame,
     find_zeros,
     jost_plus,
     norming_constant,
     reflection,
     scatter_grid,
     scattering_batch,
-    scattering_matrix,
 )
 from conftest import grid
 from hypergeometric import hyp2f1
+from zsdirect_reference import asymptotic_frame, scattering_matrix
 
 
 # --- asymptotic frames ------------------------------------------------------
