@@ -24,19 +24,22 @@ from .core import (
 )
 from .closedforms import predicted_zero_count
 from .zsdirect import (
-    _EYE,
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
     IntegratorDiverged,
+    UnsupportedAsymptotics,
     _as_array,
     _chunk_steps,
     _decay_steps,
     _decay_table,
+    _ladd,
+    _lconj,
+    _lmul,
+    _lprod,
+    _lsum,
     _mul,
     _propagate,
-    _rk4_matrix,
-    _rows,
-    _scan,
+    _real_samples,
     _stages,
     _working_samples,
     scatter_grid,
@@ -145,105 +148,184 @@ class ThetaSolution:
                          np.max(np.abs(self.theta_minus[0] - eye))))
 
 
+class DefocusingDressing(NlsQuenchError):
+    """The higher-level dressing was asked for a defocusing coupling."""
+
+
 def _require_theta_scope(p: FieldProfile, c: Coupling, c_new: Coupling):
     if not isinstance(p.asymptotics, Schwartz):
-        raise NlsQuenchError("the factorisation machinery needs rapid decay")
+        raise UnsupportedAsymptotics("the factorisation machinery needs rapid decay")
     for cc in (c, c_new):
         if cc.regime == "defocusing":
-            raise NlsQuenchError(
+            raise DefocusingDressing(
                 "higher-level dressing uses unitary Jost matrices; couplings "
                 "must be focusing or zero"
             )
 
 
+# steps per block of Theta's step table, a whole number of its chunks
+_THETA_BLOCK = 384
+
+
+def _theta_steps(c: Coupling, dc: complex, q, s: float):
+    """C_m, m = 1..4, of Theta's telescoped RK4 steps (see _theta_pass) as
+    first rows of Laurent polynomials in u, each step in the gauge of its
+    first node; q holds the field's (start, middle, end) stage values of
+    every step."""
+    eye = ((0, np.ones((1, len(q[0])), dtype=np.complex128)), None)
+    # stage generators c Uhat (Phi) and (c' - c) Uhat (Theta), whose phase
+    # relative to the step start is u^e at the start, middle and end, e = 0, 1, 2
+    a = [(None, (e, (c.value * v)[None])) for e, v in enumerate(q)]
+    b = [(None, (e, (dc * v)[None])) for e, v in enumerate(q)]
+    # Phi's RK4 stage maps X_2..X_4 (X_1 = I) and Theta's generators
+    # g_i = X_i^dag B_i X_i; X^dag has the first row (alpha*, -beta)
+    x2 = _lsum((1.0, eye), (s / 2, a[0]))
+    x3 = _lsum((1.0, eye), (s / 2, _lmul(a[1], x2, _SU2)))
+    x4 = _lsum((1.0, eye), (s, _lmul(a[1], x3, _SU2)))
+    g = [b[0]] + [_lmul((_lconj(x[0]), _ladd(None, x[1], -1.0)), _lmul(bi, x, _SU2), _SU2)
+                  for x, bi in ((x2, b[1]), (x3, b[1]), (x4, b[2]))]
+    g21, g32, g43 = (_lmul(g[i + 1], g[i], _SU2) for i in range(3))
+    g321 = _lmul(g[2], g21, _SU2)
+    return [_lsum((s / 6, g[0]), (s / 3, g[1]), (s / 3, g[2]), (s / 6, g[3])),
+            _lsum(*((s * s / 6, m) for m in (g21, g32, g43))),
+            _lsum(*((s ** 3 / 12, m) for m in (g321, _lmul(g[3], g32, _SU2)))),
+            _lsum((s ** 4 / 24, _lmul(g[3], g321, _SU2)))]
+
+
+# windows of _theta_table: P and det P in u^-2 .. u^2, P C_m in u^-4 .. u^6
+_THETA_P, _THETA_LO, _THETA_WIDTH = 2, -4, 11
+
+
+def _theta_table(c: Coupling, dc: complex, q, p_rows: np.ndarray, s: float):
+    """k-independent first rows of the factors of Theta's telescoped steps
+    (see _theta_pass) for the steps whose (start, middle, end) field values
+    are q and whose Phi steps P_j have the _decay_table rows p_rows, each in
+    the gauge of its step's first node.  Returns (p, coef): p (3, steps,
+    2 _THETA_P + 1) holds alpha - 1, beta and det P - 1 = |alpha|^2 +
+    |beta|^2 - 1 in u^-_THETA_P .. u^_THETA_P, coef (4, 2, steps,
+    _THETA_WIDTH) alpha and beta of P C_m, m = 1..4, from u^_THETA_LO."""
+    a, b = (0, p_rows[:, 0].T), (0, p_rows[:, 1].T)
+    p = np.zeros((3, len(p_rows), 2 * _THETA_P + 1), dtype=np.complex128)
+    p[:2, :, _THETA_P:] = p_rows.transpose(1, 0, 2)
+    # det P - 1 = a + a* + a a* + b b* with alpha = 1 + a
+    lo, e = _ladd(_ladd(a, _lconj(a)), _ladd(_lprod(a, _lconj(a)), _lprod(b, _lconj(b))))
+    p[2, :, lo + _THETA_P:lo + _THETA_P + len(e)] = e.T
+    a = (0, a[1].copy())
+    a[1][0] += 1.0
+    coef = np.zeros((4, 2, len(p_rows), _THETA_WIDTH), dtype=np.complex128)
+    cs = _theta_steps(c, dc, q, s)
+    for i in range(4):
+        for r, (lo, e) in enumerate(_lmul((a, b), cs[i], _SU2)):
+            coef[i, r, :, lo - _THETA_LO:lo - _THETA_LO + len(e)] = e.T
+        cs[i] = None  # freed once multiplied, to bound the block's memory
+    return p, coef
+
+
 def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
                 cfg: IntegratorConfig, direction: int,
                 keep: Optional[np.ndarray] = None):
-    """Joint RK4 integration of Phi (auxiliary problem at coupling c, in the
-    e^{ik sigma3 x} gauge) and Theta with generator (c'-c) Phi^dag What Phi,
-    from one end of the grid to the other.  Both couplings are focusing or
-    zero, so Phi and Theta lie in SU(2) and are carried as their first rows
-    (zsdirect._mul with sigma = -1).  Phi's steps come from the rapid-decay
-    step table of the transfer pass (zsdirect._decay_table, one step per
-    row), whose row phases e^{2ikx_j} also turn Theta's stage values.
+    """RK4 integration of Phi (auxiliary problem at coupling c, in the
+    e^{ik sigma3 x} gauge) and Theta with generator (c'-c) Phi^dag Uhat Phi,
+    stepped jointly from one end of the grid to the other, at real k.
+
+    Both couplings are focusing or zero, so Phi and Theta have the SU(2)
+    form [[alpha, beta], [-beta*, alpha*]] and are carried as first rows
+    (zsdirect._mul with sigma = -1), and Phi Phi^dag = delta I with delta =
+    det Phi.  With X_i Phi's RK4 stage maps, P_j its step and g_i = (c' -
+    c) X_i^dag Uhat_i X_i, Theta's stage generators are Phi_j^dag g_i Phi_j
+    = delta_j Phi_j^-1 g_i Phi_j.  Theta's step is thus exactly Phi_j^-1
+    N_j Phi_j, N_j = I + sum_m delta_j^m C_{j,m} the RK4 step of the
+    generators delta_j g_i (C_m sums products of m of them), and the Phi
+    factors telescope:
+        Theta_n = Phi_n^-1 R_{n-1} ... R_0,  R_j = P_j + sum_m delta_j^m P_j C_{j,m}.
+    Relative to its first node every factor is a Laurent polynomial in u =
+    e^{iks} with profile-only coefficients (_theta_table, built in blocks
+    of _THETA_BLOCK steps).  A chunk evaluates them with one product per
+    factor, takes delta_j as the running product of det P_j, sums R_j by
+    Horner in delta_j and turns beta by the row phase e^{2ikx_j}.  The
+    steps of Phi and of the R-product are carried side by side, entries
+    (steps, 2, nk), so both products take the same tree/scan order: at c'
+    = c, R = P bit for bit and Theta = I to the ulp.  Phi_n^-1 = Phi_n^dag
+    / (|alpha_n|^2 + |beta_n|^2).  Theta keeps its own generator; only the
+    rounding order differs from the step-by-step loop.
 
     direction=+1 integrates upward from the left end (Theta_-);
     direction=-1 integrates downward from the right end (Theta_+).
     Returns (x nodes, Phi at kept nodes, Theta at kept nodes), the latter
-    two shaped (len(keep), nk, 2, 2); keep=None records every node.
+    two shaped (len(keep), nk, 2, 2); keep=None records every node.  A k
+    off the real axis raises ComplexSpectralSample.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
+    k = _real_samples(k)
     nk = len(k)
     xs, q_nodes, q_mids, h = _working_samples(p, cfg)
     n = len(xs)
-    cv = c.value
-    dc = c_new.value - cv
+    dc = c_new.value - c.value
     if keep is None:
         keep = np.arange(n)
     start = 0 if direction > 0 else n - 1
     record = np.abs(np.asarray(keep, dtype=int) - start)  # steps to each kept node
     s = direction * h
-    u = np.exp(1j * k * s)  # stage phases are 1, u, u^2 relative to the step start
     q = _stages(q_nodes, q_mids, start, direction, 0, n - 1)
-    # build holds about four times the chunk-sized arrays of a transfer
-    # step, so its chunks are a quarter as long; nk alone fixes their size,
-    # which keeps runs bit-identical
-    per = _chunk_steps(4 * nk)
-    table = _decay_table(c, q, xs[start + direction * np.arange(n - 1)], s)
-    phi_steps, phases = _decay_steps(table, k)
-
-    phi = tuple(np.full(nk, v, dtype=np.complex128) for v in _EYE[:2])
-    phi_out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
-    phi_out[record == 0] = np.eye(2)
-
-    def generators(phi_j, i0, i1):
-        """Theta's stage generators for steps i0..i1-1, from Phi at the step
-        starts.  The RK4 stage values of Phi are X_i Phi_j = [[al, be],
-        [-be*, al*]], and the generators are (c' - c) H_i with H_i = (X_i
-        Phi_j)^dag Uhat_i (X_i Phi_j), Uhat = [[0, a], [a*, 0]] at the four
-        stage points: H_i = [[-h, off], [off*, h]] with t = a al*, v = a be*,
-        h = 2 Re(v al*) and off = t al* - v* be.  Uhat X_i Phi_j has the
-        first row (-v, t)."""
-        e = phases(i0, i1)
-        alphas = (q[0][i0:i1, None] * e, q[1][i0:i1, None] * e * u,
-                  q[2][i0:i1, None] * e * (u * u))
-        (al, be), gens = phi_j, []
-        for a, frac in zip((alphas[0], alphas[1], alphas[1], alphas[2]), (0.5, 0.5, 1.0, None)):
-            alc = np.conj(al)
-            t, v = a * alc, a * np.conj(be)
-            gens.append((-2.0 * dc * (v * alc).real, dc * (t * alc - np.conj(v) * be)))
-            if frac is not None:
-                al, be = phi_j[0] - (frac * s * cv) * v, phi_j[1] + (frac * s * cv) * t
-        return gens
+    phi_table = _decay_table(c, q, xs[start + direction * np.arange(n - 1)], s)
+    _, phases = _decay_steps(phi_table, k)
+    # a chunk holds about four times the arrays of a transfer step, so its
+    # chunks are a quarter as long; blocks are whole chunks.  nk alone
+    # fixes both sizes, which keeps runs bit-identical
+    per = min(_chunk_steps(4 * nk), _THETA_BLOCK)
+    block = per * (_THETA_BLOCK // per)
+    powers = np.exp(1j * s * np.multiply.outer(np.arange(_THETA_WIDTH) + _THETA_LO, k))
+    powers_p = powers[-_THETA_P - _THETA_LO:_THETA_P + 1 - _THETA_LO]
+    table, delta = None, np.ones(nk)
 
     def build(i0, i1):
-        """Theta's step matrices; Phi is carried along chunk by chunk.
-        generators runs in its own frame so that its temporaries are freed
-        before the combine."""
-        nonlocal phi
-        states = _mul(_scan(phi_steps(i0, i1), _SU2), phi, _SU2)
-        hit = (record > i0) & (record <= i1)
-        phi_out[hit] = _as_array(_rows(states, record[hit] - i0 - 1), _SU2)
-        phi_j = tuple(np.concatenate([y[None], v[:-1]]) for y, v in zip(phi, states))
-        phi = tuple(v[-1].copy() for v in states)  # copies: states is freed here
-        del states
-        return _rk4_matrix(generators(phi_j, i0, i1), s, _SU2)
+        nonlocal table, delta
+        if i0 % block == 0:
+            b1 = min(i0 + block, n - 1)
+            table = _theta_table(c, dc, tuple(v[i0:b1] for v in q), phi_table.coef[i0:b1], s)
+        m, j = i1 - i0, i0 % block
+        # P_j, and delta_j = det Phi_j as the running product of det P_j
+        p = np.matmul(table[0][:, j:j + m], powers_p)
+        p[0] += 1.0
+        det = p[2].real + 1.0
+        d = np.empty((m, nk))
+        d[0] = delta
+        np.cumprod(det[:-1], axis=0, out=d[1:])
+        d[1:] *= delta
+        delta = d[-1] * det[-1]
+        # R_j = P_j + sum_m delta_j^m P_j C_{j,m}, by Horner in delta_j
+        acc = np.matmul(table[1][3, :, j:j + m], powers)
+        acc *= d
+        for i in (2, 1, 0):
+            acc += np.matmul(table[1][i, :, j:j + m], powers)
+            acc *= d
+        out = np.empty((2, m, 2, nk), dtype=np.complex128)  # (entry, step, Phi | R, k)
+        out[:, :, 0] = p[:2]
+        np.add(p[:2], acc, out=out[:, :, 1])
+        out[1] *= phases(i0, i1)[:, None]
+        return out[0], out[1]
 
-    theta, theta_out = _propagate(build, n - 1, nk, record=record, per=per, sigma=_SU2)
-    if not all(np.isfinite(e).all() for e in phi + theta):
+    end, out = _propagate(build, n - 1, (2, nk), record=record, per=per, sigma=_SU2)
+    if not all(np.isfinite(e).all() for e in end):
         raise IntegratorDiverged("dressing integration produced non-finite values")
-    return xs, phi_out, theta_out
+    phi_out = out[:, 0]
+    alpha, beta = phi_out[..., 0, 0], phi_out[..., 0, 1]
+    det = alpha.real ** 2 + alpha.imag ** 2 + beta.real ** 2 + beta.imag ** 2
+    theta = _mul((np.conj(alpha), -beta), (out[:, 1, :, 0, 0], out[:, 1, :, 0, 1]), _SU2)
+    return xs, phi_out, _as_array(tuple(e / det for e in theta), _SU2)
 
 
 def higher_level_theta(p: FieldProfile, c: Coupling, c_new: Coupling, k: float,
                        cfg: IntegratorConfig = DEFAULT_INTEGRATOR) -> ThetaSolution:
-    """Dressing matrices Theta_+- at one real spectral point."""
+    """Dressing matrices Theta_+- at one real spectral point (a k off the
+    real axis raises ComplexSpectralSample)."""
     _require_theta_scope(p, c, c_new)
-    karr = np.array([float(k)])
+    karr = _real_samples(k)
+    if karr.shape != (1,):
+        raise NlsQuenchError("higher_level_theta takes one spectral point")
     xs, _, th_minus = _theta_pass(p, c, c_new, karr, cfg, direction=+1)
     _, _, th_plus = _theta_pass(p, c, c_new, karr, cfg, direction=-1)
     return ThetaSolution(x=xs, theta_plus=th_plus[:, 0], theta_minus=th_minus[:, 0],
-                         k=float(k), c_old=c.value, c_new=c_new.value)
+                         k=float(karr[0]), c_old=c.value, c_new=c_new.value)
 
 
 @dataclass(frozen=True)

@@ -255,13 +255,6 @@ def _rows(m, idx):
     return tuple(e[idx] for e in m)
 
 
-def _eye_plus(a, m, sigma=None):
-    """I + a m; with sigma, a must be real."""
-    if sigma is None:
-        return (1.0 + a * m[0], a * m[1], a * m[2], 1.0 + a * m[3])
-    return (1.0 + a * m[0], a * m[1])
-
-
 def _as_array(m, sigma=None):
     """Entry tuple -> array of shape (..., 2, 2)."""
     if sigma is not None:
@@ -298,20 +291,20 @@ def _scan(m, sigma=None):
     return out
 
 
-def _propagate(build, nsteps: int, nk: int, y=None, record=None, per=None, sigma=None):
-    """Chain nsteps steps chunk by chunk from the state y (entries (nk,),
-    default the identity); build(i0, i1) gives the step matrices of steps
-    i0..i1-1, entries (i1 - i0, nk), for chunks of per steps (default
-    _chunk_steps(nk)).  Returns the final state and the states after the
-    step counts in record, as (len(record), nk, 2, 2) (None without
-    record)."""
+def _propagate(build, nsteps: int, nk, y=None, record=None, per=None, sigma=None):
+    """Chain nsteps steps chunk by chunk from the state y (entries of shape
+    nk, an int or a tuple; default the identity); build(i0, i1) gives the
+    step matrices of steps i0..i1-1, entries (i1 - i0, *nk), for chunks of
+    per steps (default _chunk_steps(nk)).  Returns the final state and the
+    states after the step counts in record, as (len(record), *nk, 2, 2)
+    (None without record)."""
     if y is None:
         y = _EYE if sigma is None else _EYE[:2]
-    y = tuple(np.broadcast_to(np.asarray(e, dtype=np.complex128), (nk,)) for e in y)
+    y = tuple(np.broadcast_to(np.asarray(e, dtype=np.complex128), nk) for e in y)
     out = None
     if record is not None:
         record = np.asarray(record, dtype=int)
-        out = np.empty((len(record), nk, 2, 2), dtype=np.complex128)
+        out = np.empty((len(record),) + y[0].shape + (2, 2), dtype=np.complex128)
         out[record == 0] = _as_array(y, sigma)
     per = per or _chunk_steps(nk)
     with _unchecked():
@@ -326,17 +319,6 @@ def _propagate(build, nsteps: int, nk: int, y=None, record=None, per=None, sigma
             else:
                 y = _mul(_tree(m, sigma), y, sigma)
     return y, out
-
-
-def _rk4_matrix(gens, s: float, sigma=None):
-    """Step matrices I + s/6 (K1 + 2 K2 + 2 K3 + K4) from the generators
-    G1..G4 at the four RK4 stages: K1 = G1, K_i = G_i (I + c_i s K_{i-1})
-    with c = 1/2, 1/2, 1 (s real with sigma)."""
-    k = acc = gens[0]
-    for g, frac, w in zip(gens[1:], (0.5, 0.5, 1.0), (2.0, 2.0, 1.0)):
-        k = _mul(g, _eye_plus(frac * s, k, sigma), sigma)
-        acc = tuple(a + w * b for a, b in zip(acc, k))
-    return _eye_plus(s / 6.0, acc, sigma)
 
 
 def _frame_steps(d1, d2, a, b, mu, x, s: float):
@@ -428,8 +410,10 @@ def _stages(nodes, mids, start: int, direction: int, i0: int, i1: int):
 # Tables keep alpha - 1, so the products and the per-k evaluation sum only
 # the small terms and the identity is added last.  End-value transfer
 # passes fuse 4 steps to a row (degree 8), which also removes the two widest
-# levels of the tree product; jost_plus and Phi of the Theta pass record
-# every node and evaluate the same table one step per row.
+# levels of the tree product; jost_plus records every node and evaluates
+# the same table one step per row.  The Theta pass (quench._theta_table)
+# multiplies its unfused rows by Laurent polynomials in u, the helpers
+# below.
 
 # steps per row of a fused step table (real axis and Jost columns)
 _FUSED_LEVELS = 2
@@ -467,6 +451,53 @@ def _fuse_rows(a: np.ndarray, b: np.ndarray, sigma: float):
     b[:n + 1] += br
     b[n:] += bl
     return a, b
+
+
+# Laurent polynomials in u, row-wise: (lo, coef) stands for sum_i coef[i]
+# u^(lo + i), coef (n, rows); None is zero.  At real k |u| = 1, so conj(p(u))
+# is one too, with the coefficients reversed and conjugated.
+
+def _lconj(p):
+    if p is None:
+        return None
+    lo, coef = p
+    return -(lo + len(coef) - 1), np.conj(coef[::-1])
+
+
+def _ladd(p, q, w: float = 1.0):
+    """p + w q."""
+    if q is None:
+        return p
+    if p is None:
+        return q[0], w * q[1]
+    lo = min(p[0], q[0])
+    out = np.zeros((max(p[0] + len(p[1]), q[0] + len(q[1])) - lo,) + p[1].shape[1:],
+                   dtype=np.complex128)
+    out[p[0] - lo:p[0] - lo + len(p[1])] += p[1]
+    out[q[0] - lo:q[0] - lo + len(q[1])] += w * q[1]
+    return lo, out
+
+
+def _lprod(p, q):
+    if p is None or q is None:
+        return None
+    return p[0] + q[0], _pconv(p[1], q[1])
+
+
+def _lmul(a, b, sigma: float):
+    """Product of first rows (alpha, beta) in sigma form whose entries are
+    Laurent polynomials."""
+    (a0, a1), (b0, b1) = a, b
+    return (_ladd(_lprod(a0, b0), _lprod(a1, _lconj(b1)), sigma),
+            _ladd(_lprod(a0, b1), _lprod(a1, _lconj(b0))))
+
+
+def _lsum(*terms):
+    """sum of w m over the (w, m) pairs, first rows with Laurent entries."""
+    out = (None, None)
+    for w, m in terms:
+        out = tuple(_ladd(o, e, w) for o, e in zip(out, m))
+    return out
 
 
 def _decay_table(c: Coupling, q, x: np.ndarray, s: float, levels: int = 0) -> _DecayTable:
@@ -538,6 +569,18 @@ def _decay_steps(table: _DecayTable, k: np.ndarray):
 # ---------------------------------------------------------------------------
 # transfer-matrix pass
 
+def _real_samples(k) -> np.ndarray:
+    """k as a 1-d float array; ComplexSpectralSample for any k off the real
+    axis (a complex array whose imaginary parts all vanish is accepted)."""
+    k = np.atleast_1d(np.asarray(k))
+    if np.iscomplexobj(k):
+        if np.any(k.imag != 0):
+            raise ComplexSpectralSample(
+                "the real-axis pass takes real k; off the axis use analytic_continue_a")
+        k = k.real
+    return k.astype(float)
+
+
 def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
                    cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
                    collect: bool = False):
@@ -554,13 +597,7 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     e^{+-nu x}, carry no scattering data: BranchPoint is raised there.
     A k with a nonzero imaginary part raises ComplexSpectralSample.
     """
-    k = np.atleast_1d(np.asarray(k))
-    if np.iscomplexobj(k):
-        if np.any(k.imag != 0):
-            raise ComplexSpectralSample(
-                "the real-axis pass takes real k; off the axis use analytic_continue_a")
-        k = k.real
-    k = k.astype(float)
+    k = _real_samples(k)
     g = gap_edge(c, p.asymptotics)
     if g is not None and np.any(np.abs(k) < g):
         raise BranchPoint(f"spectral sample inside the forbidden gap (-{g}, {g})")

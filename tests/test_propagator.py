@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import rk4_reference as ref
-from nlsquench import zsdirect
+from nlsquench import quench, zsdirect
 from nlsquench.core import Coupling, FiniteDensity, Schwartz, make_kgrid, make_profile
 from nlsquench.closedforms import (
     SolitonParamsFD,
@@ -289,6 +289,66 @@ def test_theta_pass_long_grid_matches_loop(direction):
     keep = np.array(keep + [0, len(xs) - 1])
     phi_ref, th_ref = ref.theta(p, C, Coupling(2.1j), k, cfg, direction)
     _, phi, th = _theta_pass(p, C, Coupling(2.1j), k, cfg, direction, keep=keep)
+    assert _rel(phi, phi_ref[keep]) < RTOL
+    assert _rel(th, th_ref[keep]) < RTOL
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_theta_pass_large_k_matches_loop(direction):
+    # |k| up to 12 on the 5000-step verify grid: |ks| = 0.12, so the
+    # powers u^-4 .. u^6 of the table span 1.2 rad
+    p = soliton_profile_rd(SolitonParamsRD(A=1.0, V=0.3), grid(25.0, 0.02),
+                           boundary_tol=1e-8)
+    cfg = IntegratorConfig(step=0.01)
+    k = np.array([-12.0, -7.5, 0.3, 12.0])
+    xs = zsdirect._working_samples(p, cfg)[0]
+    keep = [int(np.argmin(np.abs(xs - xv))) for xv in np.linspace(-12.5, 12.5, 9)]
+    keep = np.array(keep + [0, len(xs) - 1])
+    phi_ref, th_ref = ref.theta(p, C, Coupling(2.1j), k, cfg, direction)
+    _, phi, th = _theta_pass(p, C, Coupling(2.1j), k, cfg, direction, keep=keep)
+    assert _rel(phi, phi_ref[keep]) < RTOL
+    assert _rel(th, th_ref[keep]) < RTOL
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("c_old, c_new", [(0.0, 0.8j), (0.8j, 0.0)],
+                         ids=["free-to-focusing", "focusing-to-free"])
+def test_theta_pass_across_zero_coupling_matches_loop(sech10, c_old, c_new, direction):
+    cfg = IntegratorConfig()
+    k = np.linspace(-3.0, 3.0, 7)
+    phi_ref, th_ref = ref.theta(sech10, Coupling(c_old), Coupling(c_new), k, cfg, direction)
+    _, phi, th = _theta_pass(sech10, Coupling(c_old), Coupling(c_new), k, cfg, direction)
+    assert _rel(phi, phi_ref) < RTOL
+    assert _rel(th, th_ref) < RTOL
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_theta_pass_one_k_every_node_matches_loop(sech10, direction):
+    # the higher_level_theta path: keep=None at n_k = 1
+    cfg = IntegratorConfig(step=0.025)
+    k = np.array([0.7])
+    phi_ref, th_ref = ref.theta(sech10, C, Coupling(2.1j), k, cfg, direction)
+    xs, phi, th = _theta_pass(sech10, C, Coupling(2.1j), k, cfg, direction)
+    assert phi.shape == th.shape == (len(xs), 1, 2, 2)
+    assert _rel(phi, phi_ref) < RTOL
+    assert _rel(th, th_ref) < RTOL
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_theta_pass_kept_nodes_on_chunk_and_block_edges(sech10, monkeypatch, direction):
+    # 60 elements at 4 x 5 k points give chunks of 3 steps, and blocks of
+    # the step table hold 3 chunks; kept nodes sit on chunk edges (3, 6),
+    # on block edges (9, 18, 396), one step either side of one (8, 10) and
+    # at both ends
+    monkeypatch.setattr(zsdirect, "_CHUNK", 60)
+    monkeypatch.setattr(quench, "_THETA_BLOCK", 10)
+    cfg = IntegratorConfig()
+    k = np.linspace(-3.0, 3.0, 5)
+    n = len(zsdirect._working_samples(sech10, cfg)[0])
+    steps = np.array([0, 3, 6, 8, 9, 10, 18, 396, n - 1])
+    keep = steps if direction > 0 else n - 1 - steps
+    phi_ref, th_ref = ref.theta(sech10, C, Coupling(2.1j), k, cfg, direction)
+    _, phi, th = _theta_pass(sech10, C, Coupling(2.1j), k, cfg, direction, keep=keep)
     assert _rel(phi, phi_ref[keep]) < RTOL
     assert _rel(th, th_ref[keep]) < RTOL
 

@@ -1,18 +1,32 @@
 import numpy as np
 import pytest
 
-from nlsquench.core import Coupling, NlsQuenchError, Schwartz, make_kgrid, make_profile
+from nlsquench.core import (
+    Coupling,
+    FiniteDensity,
+    NlsQuenchError,
+    Schwartz,
+    make_kgrid,
+    make_profile,
+)
 from nlsquench.quench import (
     PURE_MULTISOLITON,
     PURE_RADIATION,
     SOLITON_RADIATION,
+    DefocusingDressing,
+    _theta_pass,
     classify_post_quench,
     evolve_data,
     higher_level_theta,
     quench_map,
     verify_factorization,
 )
-from nlsquench.zsdirect import scatter_grid
+from nlsquench.zsdirect import (
+    DEFAULT_INTEGRATOR,
+    ComplexSpectralSample,
+    UnsupportedAsymptotics,
+    scatter_grid,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +140,47 @@ def test_theta_unitary(sech25, focusing):
 def test_theta_rejects_defocusing(sech25, focusing):
     with pytest.raises(NlsQuenchError):
         higher_level_theta(sech25, focusing, Coupling(0.5), 0.9)
+
+
+@pytest.mark.parametrize("c_old, c_new", [(1j, 0.5), (0.5, 1j), (0.5, 0.7)])
+def test_theta_defocusing_raises_typed_error(sech25, c_old, c_new):
+    kg = make_kgrid(Coupling(1j), Schwartz(), 2.0, 5)
+    for call in (lambda: higher_level_theta(sech25, Coupling(c_old), Coupling(c_new), 0.9),
+                 lambda: verify_factorization(sech25, Coupling(c_old), Coupling(c_new), kg)):
+        with pytest.raises(DefocusingDressing):
+            call()
+
+
+def test_theta_finite_density_raises_unsupported_asymptotics():
+    x = np.linspace(-10.0, 10.0, 401)
+    p = make_profile(1.0 + 0.3 * np.exp(-x ** 2), 10.0, FiniteDensity(rho=1.0, theta=0.0),
+                     boundary_tol=1e-6)
+    kg = make_kgrid(Coupling(1j), FiniteDensity(rho=1.0, theta=0.0), 3.0, 5)
+    for call in (lambda: higher_level_theta(p, Coupling(1j), Coupling(2j), 1.5),
+                 lambda: verify_factorization(p, Coupling(1j), Coupling(2j), kg)):
+        with pytest.raises(UnsupportedAsymptotics):
+            call()
+
+
+def test_theta_refuses_complex_k(sech25):
+    c, c_new, cfg = Coupling(1j), Coupling(2j), DEFAULT_INTEGRATOR
+    with pytest.raises(ComplexSpectralSample):
+        higher_level_theta(sech25, c, c_new, 0.5 + 0.3j)
+    with pytest.raises(ComplexSpectralSample):
+        higher_level_theta(sech25, c, c_new, np.complex128(0.5 + 1e-12j))
+    with pytest.raises(ComplexSpectralSample):
+        _theta_pass(sech25, c, c_new, np.array([0.5, 0.7 + 0.1j]), cfg, 1, keep=[0, 5])
+    # a complex dtype with every imaginary part zero is real k
+    k = np.array([-0.5, 0.7])
+    _, phi, th = _theta_pass(sech25, c, c_new, k, cfg, 1, keep=[0, 400, 2500])
+    _, phi_c, th_c = _theta_pass(sech25, c, c_new, k.astype(complex), cfg, 1, keep=[0, 400, 2500])
+    assert np.array_equal(phi, phi_c) and np.array_equal(th, th_c)
+    th1 = higher_level_theta(sech25, c, c_new, 0.7)
+    th2 = higher_level_theta(sech25, c, c_new, 0.7 + 0j)
+    assert th2.k == 0.7 and isinstance(th2.k, float)
+    assert np.array_equal(th1.theta_plus, th2.theta_plus)
+    with pytest.raises(NlsQuenchError):
+        higher_level_theta(sech25, c, c_new, [0.5, 0.7])
 
 
 def test_factorization_identity_cases(sech25, focusing, kg_small, fine_cfg):
