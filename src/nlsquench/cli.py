@@ -228,8 +228,8 @@ def cmd_reconstruct(cfg, args) -> int:
     sd = ScatteringData.from_json_dict(load_json(path))
     if sd.discrete:
         raise ConfigError(
-            "the data carries bound states; the reconstruction handles the "
-            "radiative sector only (strip the zeros first, e.g. via darboux)"
+            "the data carries bound states and the reconstruction handles the radiative "
+            "sector only; run darboux with a 'dual' block on the field instead"
         )
     c0 = _coupling(cfg["coupling0"]) if "coupling0" in cfg else sd.coupling
     xspec = cfg.get("xgrid", {})

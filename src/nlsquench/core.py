@@ -264,8 +264,9 @@ def make_kgrid(c: Coupling, asymptotics: Asymptotics, k_max: float, n: int) -> K
     """Spectral grid on [-k_max, k_max] intersected with the admissible set.
 
     Where there is a forbidden gap (see gap_edge) the samples are split
-    evenly between the two allowed segments and the branch points
-    themselves are excluded.
+    between the two allowed segments (the right one takes the odd sample),
+    each evenly spaced on its own; the branch points themselves are
+    excluded.
     """
     if not (k_max > 0 and n >= 2):
         raise NlsQuenchError("need k_max > 0 and n >= 2")
@@ -274,12 +275,9 @@ def make_kgrid(c: Coupling, asymptotics: Asymptotics, k_max: float, n: int) -> K
         return KGrid(np.linspace(-k_max, k_max, n))
     if k_max <= g:
         raise EmptyGrid(f"k_max {k_max} does not reach past the gap edge {g}")
-    n_right = n - n // 2
-    n_left = n // 2
-    # open at the branch point, closed at +-k_max
-    right = g + (k_max - g) * (np.arange(1, n_right + 1) / n_right)
-    left = -right[::-1][-n_left:] if n_left else np.empty(0)
-    return KGrid(np.concatenate([left, right]), gap=(-g, g))
+    # each segment open at its branch point and closed at +-k_max
+    right, left = (g + (k_max - g) * (np.arange(1, m + 1) / m) for m in (n - n // 2, n // 2))
+    return KGrid(np.concatenate([-left[::-1], right]), gap=(-g, g))
 
 
 def trapezoid_weights(k: np.ndarray) -> np.ndarray:

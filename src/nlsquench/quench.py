@@ -35,11 +35,12 @@ from .zsdirect import (
     _ladd,
     _lconj,
     _lmul,
-    _lprod,
     _lsum,
+    _lwindow,
     _mul,
     _propagate,
     _real_samples,
+    _rk4_terms,
     _stages,
     _working_samples,
     scatter_grid,
@@ -182,14 +183,9 @@ def _theta_steps(c: Coupling, dc: complex, q, s: float):
     x2 = _lsum((1.0, eye), (s / 2, a[0]))
     x3 = _lsum((1.0, eye), (s / 2, _lmul(a[1], x2, _SU2)))
     x4 = _lsum((1.0, eye), (s, _lmul(a[1], x3, _SU2)))
-    g = [b[0]] + [_lmul((_lconj(x[0]), _ladd(None, x[1], -1.0)), _lmul(bi, x, _SU2), _SU2)
+    g = [b[0]] + [_lmul((_lconj(x[0]), _ladd((-1.0, x[1]))), _lmul(bi, x, _SU2), _SU2)
                   for x, bi in ((x2, b[1]), (x3, b[1]), (x4, b[2]))]
-    g21, g32, g43 = (_lmul(g[i + 1], g[i], _SU2) for i in range(3))
-    g321 = _lmul(g[2], g21, _SU2)
-    return [_lsum((s / 6, g[0]), (s / 3, g[1]), (s / 3, g[2]), (s / 6, g[3])),
-            _lsum(*((s * s / 6, m) for m in (g21, g32, g43))),
-            _lsum(*((s ** 3 / 12, m) for m in (g321, _lmul(g[3], g32, _SU2)))),
-            _lsum((s ** 4 / 24, _lmul(g[3], g321, _SU2)))]
+    return [_lsum(*c) for c in _rk4_terms(g, s, _SU2)]
 
 
 # windows of _theta_table: P and det P in u^-2 .. u^2, P C_m in u^-4 .. u^6
@@ -205,18 +201,15 @@ def _theta_table(c: Coupling, dc: complex, q, p_rows: np.ndarray, s: float):
     |beta|^2 - 1 in u^-_THETA_P .. u^_THETA_P, coef (4, 2, steps,
     _THETA_WIDTH) alpha and beta of P C_m, m = 1..4, from u^_THETA_LO."""
     a, b = (0, p_rows[:, 0].T), (0, p_rows[:, 1].T)
-    p = np.zeros((3, len(p_rows), 2 * _THETA_P + 1), dtype=np.complex128)
-    p[:2, :, _THETA_P:] = p_rows.transpose(1, 0, 2)
     # det P - 1 = a + a* + a a* + b b* with alpha = 1 + a
-    lo, e = _ladd(_ladd(a, _lconj(a)), _ladd(_lprod(a, _lconj(a)), _lprod(b, _lconj(b))))
-    p[2, :, lo + _THETA_P:lo + _THETA_P + len(e)] = e.T
-    a = (0, a[1].copy())
-    a[1][0] += 1.0
+    det = _ladd((1.0, a), (1.0, _lconj(a)), (1.0, a, _lconj(a)), (1.0, b, _lconj(b)))
+    p = np.array([_lwindow(e, -_THETA_P, 2 * _THETA_P + 1, len(p_rows)).T for e in (a, b, det)])
+    a = _ladd((1.0, a), (1.0, (0, np.ones((1, len(p_rows))))))  # alpha = 1 + a
     coef = np.zeros((4, 2, len(p_rows), _THETA_WIDTH), dtype=np.complex128)
     cs = _theta_steps(c, dc, q, s)
     for i in range(4):
-        for r, (lo, e) in enumerate(_lmul((a, b), cs[i], _SU2)):
-            coef[i, r, :, lo - _THETA_LO:lo - _THETA_LO + len(e)] = e.T
+        for r, e in enumerate(_lmul((a, b), cs[i], _SU2)):
+            coef[i, r] = _lwindow(e, _THETA_LO, _THETA_WIDTH, len(p_rows)).T
         cs[i] = None  # freed once multiplied, to bound the block's memory
     return p, coef
 
@@ -240,14 +233,16 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
         Theta_n = Phi_n^-1 R_{n-1} ... R_0,  R_j = P_j + sum_m delta_j^m P_j C_{j,m}.
     Relative to its first node every factor is a Laurent polynomial in u =
     e^{iks} with profile-only coefficients (_theta_table, built in blocks
-    of _THETA_BLOCK steps).  A chunk evaluates them with one product per
-    factor, takes delta_j as the running product of det P_j, sums R_j by
-    Horner in delta_j and turns beta by the row phase e^{2ikx_j}.  The
-    steps of Phi and of the R-product are carried side by side, entries
-    (steps, 2, nk), so both products take the same tree/scan order: at c'
-    = c, R = P bit for bit and Theta = I to the ulp.  Phi_n^-1 = Phi_n^dag
-    / (|alpha_n|^2 + |beta_n|^2).  Theta keeps its own generator; only the
-    rounding order differs from the step-by-step loop.
+    of _THETA_BLOCK steps); the C_m are the graded terms of
+    zsdirect._rk4_terms, the expansion behind every step table.  A chunk
+    evaluates them with one product per factor, takes delta_j as the
+    running product of det P_j, sums R_j by Horner in delta_j and turns
+    beta by the row phase e^{2ikx_j}.  The steps of Phi and of the
+    R-product are carried side by side, entries (steps, 2, nk), so both
+    products take the same tree/scan order: at c' = c, R = P bit for bit
+    and Theta = I to the ulp.  Phi_n^-1 = Phi_n^dag / (|alpha_n|^2 +
+    |beta_n|^2).  Theta keeps its own generator; only the rounding order
+    differs from the step-by-step loop.
 
     direction=+1 integrates upward from the left end (Theta_-);
     direction=-1 integrates downward from the right end (Theta_+).

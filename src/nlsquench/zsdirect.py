@@ -11,10 +11,10 @@ frames, the step matrices, their products and S obey the reality
 involution [[alpha, beta], [sigma beta*, alpha*]], sigma = c*/c, so the
 transfer pass carries only (alpha, beta), whatever the asymptotics.  On a
 rapidly decreasing profile the real-axis steps are polynomials in u =
-e^{iks}, tabulated once per profile and multiplied out four steps to a row;
-a finite-density background keeps a per-k basis.  Only the Jost columns at
-complex k keep all four entries.  Their steps are polynomials in k, also
-tabulated once per profile: they give the analytic continuation of a(k)
+e^{iks}; a finite-density background keeps a per-k basis.  Only the Jost
+columns at complex k keep all four entries, as polynomials in z = +-2ik.
+Every polynomial step table comes from one RK4 expansion, tabulated once
+per profile.  The column tables give the analytic continuation of a(k)
 into the upper half-plane (as a determinant of the two decaying Jost
 columns) and a search for its zeros by the moments of one contour.
 """
@@ -392,31 +392,155 @@ def _stages(nodes, mids, start: int, direction: int, i0: int, i1: int):
 
 
 # ---------------------------------------------------------------------------
+# k-independent step tables: one Laurent-entry algebra, one RK4 expansion
+#
+# A step table holds a pass's RK4 steps with profile-only coefficients,
+# built once and evaluated at every later k by one (rows x coefficients) @
+# (coefficients x nk) product.  Entries are Laurent polynomials, row-wise:
+# (lo, coef) stands for sum_i coef[i] v^(lo + i), coef (n, rows); None is
+# zero.  Real-axis tables carry first rows in sigma form in v = u = e^{iks}
+# (|u| = 1 at real k, so conj(p(u)) has p's coefficients reversed and
+# conjugated); Jost-column tables carry four entries in v = z = +-2ik.
+# Tables hold M - I, so products and evaluation sum only the small terms.
+
+# steps per row of a fused step table (real axis and Jost columns), and
+# steps per block of a table's build, a whole number of fused rows
+_FUSED_LEVELS = 2
+_TABLE_BLOCK = 2048
+
+
+def _lconj(p):
+    if p is None:
+        return None
+    lo, coef = p
+    return -(lo + len(coef) - 1), np.conj(coef[::-1])
+
+
+def _ladd(*terms):
+    """sum of the terms of Laurent entries, (w, p) for w p and (w, p, q) for
+    the row-wise product w p q, into one output; None is zero."""
+    terms = [t for t in terms if None not in t[1:]]
+    if len(terms) < 2 and all(len(t) == 2 and t[0] == 1.0 for t in terms):
+        return terms[0][1] if terms else None
+    spans = [(sum(e[0] for e in t[1:]), sum(len(e[1]) - 1 for e in t[1:]) + 1) for t in terms]
+    lo = min(i for i, _ in spans)
+    out = np.zeros((max(i + n for i, n in spans) - lo, terms[0][1][1].shape[1]),
+                   dtype=np.complex128)
+    for (i, _), (w, (_, a), *q) in zip(spans, terms):
+        a = a if w == 1.0 else w * a
+        if q:
+            for j in range(len(a)):
+                out[i - lo + j:i - lo + j + len(q[0][1])] += a[j] * q[0][1]
+        else:
+            out[i - lo:i - lo + len(a)] += a
+    return lo, out
+
+
+def _lmul(a, b, sigma=None):
+    """2x2 product a @ b of entry tuples whose entries are Laurent
+    polynomials, in _mul's convention (sigma=None: four entries)."""
+    if sigma is None:  # entry (r, c) = a[2r] b[c] + a[2r + 1] b[c + 2]
+        return tuple(_ladd((1.0, a[i], b[j]), (1.0, a[i + 1], b[j + 2]))
+                     for i in (0, 2) for j in (0, 1))
+    (a0, a1), (b0, b1) = a, b
+    return (_ladd((1.0, a0, b0), (sigma, a1, _lconj(b1))),
+            _ladd((1.0, a0, b1), (1.0, a1, _lconj(b0))))
+
+
+def _lsum(*terms):
+    """sum of w m over the (w, m) pairs, entry tuples with Laurent entries."""
+    return tuple(_ladd(*((w, e) for (w, _), e in zip(terms, entries)))
+                 for entries in zip(*(m for _, m in terms)))
+
+
+def _lwindow(p, lo: int, n: int, rows: int) -> np.ndarray:
+    """Coefficients of v^lo .. v^(lo + n - 1) of a Laurent entry, (n, rows)."""
+    out = np.zeros((n, rows), dtype=np.complex128)
+    if p is not None:
+        out[p[0] - lo:p[0] - lo + len(p[1])] = p[1]
+    return out
+
+
+def _rk4_terms(h, s: float, sigma=None):
+    """Graded terms of one RK4 step of size s of Y' = G Y from its four
+    stage generators h = (G_1, G_2, G_3, G_4) (entry tuples with Laurent
+    entries, in _mul's convention): the step is I + C_1 + C_2 + C_3 + C_4,
+    where C_m sums the products of m generators,
+        C_1 = (s/6)(G_1 + 2 G_2 + 2 G_3 + G_4),
+        C_2 = (s^2/6)(G_2 G_1 + G_3 G_2 + G_4 G_3),
+        C_3 = (s^3/12)(G_3 G_2 G_1 + G_4 G_3 G_2),  C_4 = (s^4/24) G_4 G_3 G_2 G_1.
+    Returns the (weight, product) pairs of C_1..C_4, for _lsum.  A linear
+    step passes (G_start, G_mid, G_mid, G_end)."""
+    g1, g2, g3, g4 = h
+    g21, g32, g43 = (_lmul(a, b, sigma) for a, b in ((g2, g1), (g3, g2), (g4, g3)))
+    g321 = _lmul(g3, g21, sigma)
+    return [[(s / 6, g1), (s / 3, g2), (s / 3, g3), (s / 6, g4)],
+            [(s * s / 6, m) for m in (g21, g32, g43)],
+            [(s ** 3 / 12, m) for m in (g321, _lmul(g4, g32, sigma))],
+            [(s ** 4 / 24, _lmul(g4, g321, sigma))]]
+
+
+def _step_table(h, s: float, degree: int, sigma=None, levels: int = 0):
+    """M - I of the RK4 steps of the stage generators h (see _rk4_terms),
+    whose entries are polynomials of degree <= degree, in rows of 2^levels
+    consecutive steps multiplied out in order (_fuse), as one coefficient
+    array (rows, entries, degree 2^levels + 1).  Steps go in blocks of
+    _TABLE_BLOCK, so that the build's temporaries stay small."""
+    steps, per = h[0][1][1].shape[1], 1 << levels
+    out = np.empty((-(-steps // per), len(h[0]), (degree << levels) + 1), dtype=np.complex128)
+    for i0 in range(0, steps, _TABLE_BLOCK):
+        hb = [[None if e is None else (e[0], e[1][:, i0:i0 + _TABLE_BLOCK]) for e in g] for g in h]
+        with _unchecked():
+            m = _fuse(_lsum(*(t for c in _rk4_terms(hb, s, sigma) for t in c)), levels, sigma)
+        r0, rows = i0 // per, m[1][1].shape[1]
+        out[r0:r0 + rows] = np.stack([_lwindow(e, 0, out.shape[2], rows).T for e in m], 1)
+    return out
+
+
+def _fuse(m, levels: int, sigma=None):
+    """Rows of 2^levels consecutive steps of a table of M - I (Laurent
+    entries, coefficients (n, steps)), multiplied out level by level as
+    (I + L)(I + R) - I = L + R + L R, L the later row; the step count is
+    padded with identities (M - I = 0).  In sigma form (u-tables) every row
+    is in the gauge of its first node, so L's beta first takes the gauge
+    shift u^{2n} to R's first node, n steps per row; z-tables need none.
+    This is the fast nonlinear Fourier transform idea (Wahls & Poor, IEEE
+    Trans. Inf. Theory 61, 2015) applied to the RK4 steps."""
+    pad = -m[1][1].shape[1] % (1 << levels)
+    if pad:
+        m = tuple(None if e is None else (e[0], np.pad(e[1], ((0, 0), (0, pad)))) for e in m)
+    for level in range(levels):
+        left, right = (tuple(None if e is None else (e[0], np.ascontiguousarray(e[1][:, i::2]))
+                             for e in m) for i in (1, 0))
+        if sigma is not None:
+            left = (left[0], (left[1][0] + (2 << level), left[1][1]))
+        m = _lsum((1.0, left), (1.0, right), (1.0, _lmul(left, right, sigma)))
+    return m
+
+
+def _table_rows(coef: np.ndarray, powers: np.ndarray):
+    """rows(i0, i1) for _propagate: the entries of rows i0..i1-1 of a step
+    table of M - I, coef (rows, entries, ncoef), at the points whose powers
+    of the table variable are powers (ncoef, nk), each (i1 - i0, nk), from
+    one (entries rows x coefficients) @ (coefficients x nk) product.  I is
+    added after it: entries 0 and 3 of four, entry 0 of a first row."""
+    def rows(i0, i1):
+        m = (coef[i0:i1].reshape(-1, coef.shape[2]) @ powers).reshape(i1 - i0, -1, len(powers[0]))
+        m[:, ::3] += 1.0
+        return tuple(m.transpose(1, 0, 2))
+
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # rapidly decreasing real-axis passes: one k-independent table in u = e^{iks}
 #
 # For P = I the frame generator is [[0, d1 e^{2ikx}], [d2 e^{-2ikx}, 0]].
-# Relative to its first node (D_j^{-1} M_j D_j) an RK4 step sees the stage
-# phases 1, u, u^2, and the closed form of _frame_steps makes its first row
-# exactly a polynomial of degree <= 2 in u with profile-only coefficients:
-#   alpha = 1 + s^2 delta/6 + (s^2/6)(d1_1 d2_0 + d1_2 d2_1) u
-#           + (s^4 delta/24) d1_2 d2_0 u^2,
-#   beta = (s/6)(1 + s^2 delta/2)(d1_0 + d1_2 u^2) + (2s/3) d1_1 u.
-# The actual step has beta times the row phase e^{2ikx_j}.  Adjacent rows
-# multiply out exactly in sigma form (a row of n steps has degree 2n, and
-# the later row's gauge shift is u^{2n}):
-#   alpha = alpha_L alpha_R + sigma beta_L beta~_R,
-#   beta = alpha_L beta_R + beta_L alpha~_R,
-# with p~ = u^{2n} conj(p(u)), p's coefficients reversed and conjugated.
-# Tables keep alpha - 1, so the products and the per-k evaluation sum only
-# the small terms and the identity is added last.  End-value transfer
-# passes fuse 4 steps to a row (degree 8), which also removes the two widest
-# levels of the tree product; jost_plus records every node and evaluates
-# the same table one step per row.  The Theta pass (quench._theta_table)
-# multiplies its unfused rows by Laurent polynomials in u, the helpers
-# below.
-
-# steps per row of a fused step table (real axis and Jost columns)
-_FUSED_LEVELS = 2
+# Relative to its first node (D_j^{-1} M_j D_j) an RK4 step sees stage
+# generators with first rows (0, d1 u^e), e = 0, 1, 2, so its first row is
+# a polynomial of degree <= 2 in u; the actual step has beta times the row
+# phase e^{2ikx_j}.  End-value passes fuse 4 steps to a row; jost_plus and
+# the Theta pass (quench._theta_table) take the table one step per row.
 
 
 @dataclass(frozen=True)
@@ -432,96 +556,15 @@ class _DecayTable:
     stride: float
 
 
-def _pconv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products of polynomials, coefficient arrays (da, n) and (db, n)."""
-    out = np.zeros((len(a) + len(b) - 1, a.shape[1]), dtype=np.complex128)
-    for i in range(len(a)):
-        out[i:i + len(b)] += a[i] * b
-    return out
-
-
-def _fuse_rows(a: np.ndarray, b: np.ndarray, sigma: float):
-    """One level of row products (rows 2j+1 @ 2j) of a table with alpha - 1
-    in a and beta in b, coefficient arrays (degree + 1, rows), even rows."""
-    (al, bl), (ar, br) = (a[:, 1::2], b[:, 1::2]), (a[:, 0::2], b[:, 0::2])
-    n = len(ar) - 1
-    a = _pconv(al, ar) + sigma * _pconv(bl, np.conj(br[::-1]))
-    a[:n + 1] += al + ar
-    b = _pconv(al, br) + _pconv(bl, np.conj(ar[::-1]))
-    b[:n + 1] += br
-    b[n:] += bl
-    return a, b
-
-
-# Laurent polynomials in u, row-wise: (lo, coef) stands for sum_i coef[i]
-# u^(lo + i), coef (n, rows); None is zero.  At real k |u| = 1, so conj(p(u))
-# is one too, with the coefficients reversed and conjugated.
-
-def _lconj(p):
-    if p is None:
-        return None
-    lo, coef = p
-    return -(lo + len(coef) - 1), np.conj(coef[::-1])
-
-
-def _ladd(p, q, w: float = 1.0):
-    """p + w q."""
-    if q is None:
-        return p
-    if p is None:
-        return q[0], w * q[1]
-    lo = min(p[0], q[0])
-    out = np.zeros((max(p[0] + len(p[1]), q[0] + len(q[1])) - lo,) + p[1].shape[1:],
-                   dtype=np.complex128)
-    out[p[0] - lo:p[0] - lo + len(p[1])] += p[1]
-    out[q[0] - lo:q[0] - lo + len(q[1])] += w * q[1]
-    return lo, out
-
-
-def _lprod(p, q):
-    if p is None or q is None:
-        return None
-    return p[0] + q[0], _pconv(p[1], q[1])
-
-
-def _lmul(a, b, sigma: float):
-    """Product of first rows (alpha, beta) in sigma form whose entries are
-    Laurent polynomials."""
-    (a0, a1), (b0, b1) = a, b
-    return (_ladd(_lprod(a0, b0), _lprod(a1, _lconj(b1)), sigma),
-            _ladd(_lprod(a0, b1), _lprod(a1, _lconj(b0))))
-
-
-def _lsum(*terms):
-    """sum of w m over the (w, m) pairs, first rows with Laurent entries."""
-    out = (None, None)
-    for w, m in terms:
-        out = tuple(_ladd(o, e, w) for o, e in zip(out, m))
-    return out
-
-
 def _decay_table(c: Coupling, q, x: np.ndarray, s: float, levels: int = 0) -> _DecayTable:
     """Step table of Y' = [[0, d1 e^{2ikx}], [d2 e^{-2ikx}, 0]] Y with d1 =
-    c q and d2 = c q*, for steps of size s from the nodes x (one per step);
-    q holds the field's (start, middle, end) stage values of every step.
-    Each row multiplies out 2^levels steps, in order; the step count is
-    padded with identities."""
-    sigma = c.involution_sign
-    d1 = [c.value * v for v in q]
-    d2 = [c.value * np.conj(v) for v in q]
-    per_row = 1 << levels
-    with _unchecked():
-        delta = d1[1] * d2[1]
-        ends = (s / 6.0) * (1.0 + (s * s / 2.0) * delta)
-        s2 = s * s / 6.0
-        a = np.stack([s2 * delta, s2 * (d1[1] * d2[0] + d1[2] * d2[1]),
-                      (s ** 4 / 24.0) * delta * d1[2] * d2[0]])
-        b = np.stack([ends * d1[0], (2.0 * s / 3.0) * d1[1], ends * d1[2]])
-        pad = ((0, 0), (0, -len(x) % per_row))
-        a, b = np.pad(a, pad), np.pad(b, pad)
-        for _ in range(levels):
-            a, b = _fuse_rows(a, b, sigma)
-    return _DecayTable(np.stack([a.T, b.T], axis=1), x[::per_row], s, s * per_row)
+    c q and d2 = c q* = sigma d1*, for steps of size s from the nodes x (one
+    per step); q holds the field's (start, middle, end) stage values of
+    every step.  Each row multiplies out 2^levels steps, in order; the step
+    count is padded with identities."""
+    g = [(None, (e, (c.value * v)[None])) for e, v in enumerate(q)]
+    coef = _step_table((g[0], g[1], g[1], g[2]), s, 2, c.involution_sign, levels)
+    return _DecayTable(coef, x[::1 << levels], s, s * (1 << levels))
 
 
 # rows per block of row phases: one exact exp at each block's first node
@@ -536,9 +579,8 @@ def _decay_steps(table: _DecayTable, k: np.ndarray):
     of _PHASE_ROWS rows times a ramp table.  A ramp across a whole chunk
     would carry the rounding of its argument, ~ |k| times the chunk's length
     in x, into every phase of the chunk."""
-    ncoef = table.coef.shape[2]
     nk = len(k)
-    powers = np.exp(1j * table.s * np.multiply.outer(np.arange(ncoef), k))
+    powers = np.exp(1j * table.s * np.multiply.outer(np.arange(table.coef.shape[2]), k))
     ramp = np.exp(2j * np.multiply.outer(table.stride * np.arange(_PHASE_ROWS), k))
 
     def turn(m, i0):
@@ -553,12 +595,11 @@ def _decay_steps(table: _DecayTable, k: np.ndarray):
         m[full:] *= starts[full // _PHASE_ROWS:]
         return m
 
+    rows = _table_rows(table.coef, powers)
+
     def steps(i0, i1):
-        n = i1 - i0
-        m = (table.coef[i0:i1].reshape(2 * n, ncoef) @ powers).reshape(n, 2, nk)
-        m[:, 0] += 1.0
-        turn(m[:, 1], i0)
-        return m[:, 0], m[:, 1]
+        alpha, beta = rows(i0, i1)
+        return alpha, turn(beta, i0)
 
     def phases(i0, i1):
         return turn(np.ones((i1 - i0, nk), dtype=np.complex128), i0)
@@ -695,12 +736,11 @@ def scattering_batch(p: FieldProfile, c: Coupling, k: Sequence[float],
 # (L2, L1), L the same way with (d1, d2, 2ik) -> (d2, d1, -2ik) downward
 # from the right end (d1 = c q, d2 = c q*).  In z = +-2ik every RK4 step
 # matrix of either column is a polynomial of degree <= 4 whose coefficients
-# depend on the profile only, so they are tabulated once per (profile,
-# coupling, integrator) and every later k costs one (rows x coefficients) @
-# (coefficients x nk) product per chunk.  For the passes that stop at the
-# central node, adjacent steps are multiplied out twice more, exactly (each
-# row then covers 4 steps, degree <= 16), which removes the two widest
-# levels of the tree product.  A zero search builds one table for its
+# depend on the profile only (_step_table in four entries), so they are
+# tabulated once per (profile, coupling, integrator).  For the passes that
+# stop at the central node, adjacent steps are fused twice (each row then
+# covers 4 steps, degree <= 16), which removes the two widest levels of
+# the tree product.  A zero search builds one table for its
 # contour (decimated profile) and one for Newton and the norming constants
 # (full profile); the public entry points build one per call.
 
@@ -711,77 +751,14 @@ def _require_schwartz(p: FieldProfile, what: str):
         )
 
 
-# Step tables hold 2x2 polynomial matrices as coefficient arrays (2, 2,
-# ncoef, rows): coefficient i of entry (r, c) of row j at [r, c, i, j], so
-# that every operation of the build runs along the rows.
-
-
-def _pmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise products a[j] @ b[j] of polynomial matrices (coefficient
-    arrays (2, 2, da, n) and (2, 2, db, n)): each coefficient of a times
-    all of b, added at its shift."""
-    da, db, n = a.shape[2], b.shape[2], a.shape[3]
-    out = np.zeros((2, 2, da + db - 1, n), dtype=np.complex128)
-    for i in range(da):
-        out[:, :, i:i + db] += a[:, 0, None, None, i] * b[0] + a[:, 1, None, None, i] * b[1]
-    return out
-
-
-def _rk4_poly(d1, d2, s: float) -> np.ndarray:
-    """RK4 step matrices of size s of Y' = G(x) Y, G = [[0, d1], [d2, z]],
-    as polynomials in z, coefficient array (2, 2, 5, steps); d1 and d2
-    hold the (start, middle, end) stage values (a_i, b_i) of every step.
-    With G_i the stage generators the step is exactly M = I + (s/6)(G_0 +
-    4 G_1 + G_2) + (s^2/6)(G_1 G_0 + G_1^2 + G_2 G_1) + (s^3/12)(G_1^2 G_0 +
-    G_2 G_1^2) + (s^4/24) G_2 G_1^2 G_0, expanded below with delta = a_1
-    b_1.  M_10 is M_01 with a_i and b_(2-i) exchanged."""
-    (a0, a1, a2), (b0, b1, b2) = d1, d2
-    s2, s3, s4 = s * s / 6.0, s ** 3 / 12.0, s ** 4 / 24.0
-    delta = a1 * b1
-    m = np.zeros((2, 2, 5, len(a0)), dtype=np.complex128)
-    for r, (p0, p1, p2), q1 in ((0, (a0, a1, a2), b1), (1, (b2, b1, b0), a1)):
-        m[r, 1 - r, :4] = (s / 6.0 * (p0 + 4.0 * p1 + p2) + s3 * delta * (p0 + p2),
-                           s2 * (2.0 * p1 + p2) + s4 * p2 * (p0 * q1 + delta),
-                           s3 * (p1 + p2), s4 * p2)
-    u, v = a1 * b0 + a2 * b1, a0 * b1 + a1 * b2
-    m[0, 0, :3] = 1.0 + s2 * (u + delta) + s4 * a2 * b0 * delta, s3 * u, s4 * a2 * b0
-    m[1, 1, :3] = (1.0 + s2 * (v + delta) + s4 * a0 * b2 * delta, s + s3 * (v + 2.0 * delta),
-                   s * s / 2.0 + s4 * (v + delta))
-    m[1, 1, 3:] = np.array([s ** 3 / 6.0, s4])[:, None]
-    return m
-
-
-def _fused(steps: np.ndarray) -> np.ndarray:
-    """Rows of 2^_FUSED_LEVELS consecutive steps, multiplied out in order
-    (later steps on the left); the step count is padded with identities."""
-    eye = np.zeros(steps.shape[:3] + (-steps.shape[3] % (1 << _FUSED_LEVELS),),
-                   dtype=np.complex128)
-    eye[0, 0, 0] = eye[1, 1, 0] = 1.0
-    rows = np.concatenate([steps, eye], axis=3)
-    for _ in range(_FUSED_LEVELS):
-        rows = _pmul(rows[..., 1::2], rows[..., 0::2])
-    return rows
-
-
-def _table_steps(table: np.ndarray, z: np.ndarray):
-    """build(i0, i1) for _propagate: the entries of rows i0..i1-1 of a step
-    table at z (nk,), each (i1 - i0, nk), one (rows x coefficients) @
-    (coefficients x nk) product per entry."""
-    powers = z ** np.arange(table.shape[2])[:, None]
-
-    def build(i0, i1):
-        return tuple(e[:, i0:i1].T @ powers for e in table.reshape(4, *table.shape[2:]))
-
-    return build
-
-
 @dataclass(frozen=True)
 class _ColumnTable:
     """k-independent RK4 steps of the Jost columns on one (profile,
     coupling, integrator): rise takes R up from node j_lo, fall takes
-    (L2, L1) down from node j_hi.  Each is a coefficient array (2, 2,
-    degree + 1, rows) of polynomials in z = 2ik (rise) or z = -2ik (fall),
-    and each column is the first column of its ordered row product."""
+    (L2, L1) down from node j_hi.  Each holds M - I of its rows as a
+    coefficient array (rows, 4, degree + 1) of polynomials in z = 2ik
+    (rise) or z = -2ik (fall), and each column is the first column of its
+    ordered row product."""
 
     xs: np.ndarray
     j_lo: int
@@ -791,7 +768,8 @@ class _ColumnTable:
 
     def steps(self, k: np.ndarray):
         """(rise, fall) build functions for _propagate at k (nk,)."""
-        return _table_steps(self.rise, 2j * k), _table_steps(self.fall, -2j * k)
+        return tuple(_table_rows(t, z ** np.arange(t.shape[2])[:, None])
+                     for t, z in ((self.rise, 2j * k), (self.fall, -2j * k)))
 
 
 def _column_table(p: FieldProfile, c: Coupling, cfg: IntegratorConfig,
@@ -813,13 +791,18 @@ def _column_table(p: FieldProfile, c: Coupling, cfg: IntegratorConfig,
         r_stop, l_stop = len(xs) - 1, 0
     d1 = (c.value * qn, c.value * qm)
     d2 = (c.value * np.conj(qn), c.value * np.conj(qm))
-    nr, nl = r_stop - j_lo, j_hi - l_stop
-    with _unchecked():
-        rise = _rk4_poly(_stages(*d1, j_lo, 1, 0, nr), _stages(*d2, j_lo, 1, 0, nr), h)
-        fall = _rk4_poly(_stages(*d2, j_hi, -1, 0, nl), _stages(*d1, j_hi, -1, 0, nl), -h)
-        if meet:
-            rise, fall = _fused(rise), _fused(fall)
-    return _ColumnTable(xs, j_lo, j_hi, rise, fall)
+    nr, nl, levels = r_stop - j_lo, j_hi - l_stop, _FUSED_LEVELS if meet else 0
+    # one build for both: the steps of [[0, a], [b, z]], R's from node j_lo
+    # (step h), then (L2, L1)'s from node j_hi as the same steps of minus
+    # the generator (step -h); zero generators (identity steps) pad R's rows
+    pad = np.zeros(-nr % (1 << levels))
+    a, b = ([np.concatenate([r, pad, -f]) for r, f in zip(_stages(*rd, j_lo, 1, 0, nr),
+                                                         _stages(*fd, j_hi, -1, 0, nl))]
+            for rd, fd in ((d1, d2), (d2, d1)))
+    z = (1, np.concatenate([np.ones(nr), pad, -np.ones(nl)])[None])
+    g = [(None, (0, ai[None]), (0, bi[None]), z) for ai, bi in zip(a, b)]
+    table = _step_table((g[0], g[1], g[1], g[2]), h, 4, levels=levels)
+    return _ColumnTable(xs, j_lo, j_hi, *np.split(table, [(nr + len(pad)) >> levels]))
 
 
 def _meet_columns(table: _ColumnTable, k):
@@ -828,8 +811,8 @@ def _meet_columns(table: _ColumnTable, k):
     a meet table."""
     k = np.atleast_1d(np.asarray(k, dtype=np.complex128))
     rise, fall = table.steps(k)
-    (r1, _, r2, _), _ = _propagate(rise, table.rise.shape[3], len(k))
-    (l2, _, l1, _), _ = _propagate(fall, table.fall.shape[3], len(k))
+    (r1, _, r2, _), _ = _propagate(rise, len(table.rise), len(k))
+    (l2, _, l1, _), _ = _propagate(fall, len(table.fall), len(k))
     if not all(np.isfinite(v).all() for v in (r1, r2, l1, l2)):
         raise IntegratorDiverged("Jost column integration produced non-finite values")
     return (r1, r2), (l1, l2)
@@ -1051,7 +1034,9 @@ def scatter_grid(p: FieldProfile, c: Coupling, kgrid: KGrid,
 
 
 def reflection(sd: ScatteringData, k: float) -> complex:
-    """rho(k) = b(k)/a(k), linear interpolation between grid nodes."""
+    """rho(k) = b(k)/a(k), linear interpolation between grid nodes.  On a
+    gapped grid a k whose nodes straddle the forbidden gap (every k inside
+    it, too) raises BranchPoint: no data lives between the segments."""
     ks = sd.kgrid.samples
     if k < ks[0] or k > ks[-1]:
         raise NlsQuenchError(f"k = {k} is outside the sampled spectral window")
@@ -1063,6 +1048,8 @@ def reflection(sd: ScatteringData, k: float) -> complex:
         hi = i
         lo = i - 1
         t = (k - ks[lo]) / (ks[hi] - ks[lo])
+        if sd.kgrid.gap is not None and ks[lo] < sd.kgrid.gap[0] and ks[hi] > sd.kgrid.gap[1]:
+            raise BranchPoint(f"k = {k} lies across the forbidden gap {sd.kgrid.gap}")
     for j in (lo, hi):
         if abs(sd.a[j]) < 1e-13:
             raise DivisionByZeroA(f"a vanishes at grid node k = {ks[j]}")

@@ -156,7 +156,7 @@ def test_zeros_command(tmp_path):
     assert [round(v["im"], 4) for v in z] == [0.5, 1.5]
 
 
-def test_reconstruct_refuses_bound_states(tmp_path):
+def test_reconstruct_refuses_bound_states(tmp_path, capsys):
     cfg = _write(tmp_path, "cfg.json", SCATTER_CFG)
     out = str(tmp_path / "scatter_run")
     main(["scatter", "--config", cfg, "--out", out])
@@ -164,8 +164,12 @@ def test_reconstruct_refuses_bound_states(tmp_path):
                   {"profile": {"builtin": "zero"},
                    "data_path": os.path.join(out, "scattering.json"),
                    "coupling0": {"re": 0.5}})
+    capsys.readouterr()
     code = main(["reconstruct", "--config", rcfg, "--out", str(tmp_path / "rec")])
     assert code == 1
+    # the route that exists: darboux's dual block, run on the field
+    err = capsys.readouterr().err
+    assert "bound states" in err and "darboux with a 'dual' block on the field" in err
 
 
 def test_reconstruct_radiative_data(tmp_path):

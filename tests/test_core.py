@@ -98,6 +98,18 @@ def test_kgrid_gap_excluded():
     assert kg.n == 100
 
 
+def test_kgrid_gap_odd_n_reaches_both_ends():
+    # the right segment takes the odd sample; each segment is evenly spaced
+    # on its own, open at its branch point and closed at +-k_max
+    kg = make_kgrid(Coupling(1.0), FiniteDensity(rho=1.0, theta=1.0), 5.0, 9)
+    s = kg.samples
+    assert kg.n == 9 and s[0] == -5.0 and s[-1] == 5.0
+    left, right = s[s < 0], s[s > 0]
+    assert len(left) == 4 and len(right) == 5
+    assert np.allclose(np.diff(left), 1.0) and np.allclose(np.diff(right), 0.8)
+    assert np.isclose(left[-1], -2.0) and np.isclose(right[0], 1.8)
+
+
 def test_kgrid_gap_random_sweep():
     rng = np.random.default_rng(11)
     for _ in range(50):

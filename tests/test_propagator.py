@@ -93,6 +93,73 @@ def test_fused_rows_are_products_of_steps(sigma):
         assert max(_rel(g, w) for g, w in zip(got, want)) < RTOL
 
 
+def _leval(p, v):
+    """A Laurent entry (lo, coef) of the step tables at v, row-wise."""
+    if p is None:
+        return 0.0
+    lo, coef = p
+    return sum(c * v ** (lo + i) for i, c in enumerate(coef))
+
+
+def _laurent(rng, lo, n, rows=6):
+    return lo, rng.standard_normal((n, rows)) + 1j * rng.standard_normal((n, rows))
+
+
+@pytest.mark.parametrize("sigma", [-1.0, 1.0, None], ids=["sigma-1", "sigma+1", "four"])
+def test_laurent_product_matches_mul(sigma):
+    # with |u| = 1 in sigma form (conj(p(u)) is a Laurent polynomial only
+    # there); any z in four entries; None entries and negative lo included
+    rng = np.random.default_rng(3)
+    four = sigma is None
+    a, b = (tuple(None if s is None else _laurent(rng, *s) for s in shapes) for shapes in (
+        [(-2, 3), (1, 2), None, (0, 4)] if four else [(-2, 3), (1, 2)],
+        [None, (-1, 3), (2, 1), (0, 2)] if four else [None, (-3, 4)]))
+    v = 0.4 - 1.3j if four else np.exp(0.7j)
+    got = zsdirect._lmul(a, b, sigma)
+    want = zsdirect._mul(tuple(_leval(e, v) for e in a), tuple(_leval(e, v) for e in b), sigma)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(_leval(g, v) - w)) < 1e-14 * max(1.0, np.max(np.abs(w)))
+
+
+@pytest.mark.parametrize("form", ["four", "sigma"])
+def test_rk4_terms_sum_to_one_reference_step(form):
+    # four entries: the Jost-column generator [[0, d1], [d2, z]] at complex
+    # k (z = 2ik); sigma form: the rapid-decay frame generator at real k,
+    # first rows (0, d1 u^e) relative to the step start, u = e^{iks}
+    rng = np.random.default_rng(5)
+    s, c = 0.05, Coupling(1.3j)
+    sigma = c.involution_sign
+    d1 = c.value * (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+    d2 = sigma * np.conj(d1)
+    k = np.array([0.3 + 2.5j, -1.0 + 0.01j, 2.0, -6.0 + 1.0j]) if form == "four" else \
+        np.array([-12.0, -0.7, 0.0, 2.5])
+    if form == "four":
+        z = (1, np.ones((1, 4), dtype=np.complex128))
+        g = [(None, (0, a[None]), (0, b[None]), z) for a, b in zip(d1, d2)]
+        v, sig = 2j * k, None
+    else:
+        g = [(None, (e, a[None])) for e, a in enumerate(d1)]
+        v, sig = np.exp(1j * k * s), sigma
+    terms = zsdirect._rk4_terms((g[0], g[1], g[1], g[2]), s, sig)
+    step = zsdirect._lsum(*(t for grade in terms for t in grade))
+    got = zsdirect._as_array(tuple(_leval(e, v) for e in step), sig) + np.eye(2)
+
+    def gen_at(i):
+        out = np.zeros((4, 2, 2), dtype=np.complex128)
+        out[:, 0, 1], out[:, 1, 0] = d1[i], d2[i]
+        if form == "four":
+            out[:, 1, 1] = 2j * k
+        else:
+            phase = np.exp(2j * k * s * i / 2)
+            out[:, 0, 1] *= phase
+            out[:, 1, 0] /= phase
+        return out
+
+    want = ref.rk4(lambda _: (gen_at(0), gen_at(1), gen_at(2)),
+                   np.broadcast_to(np.eye(2, dtype=np.complex128), (4, 2, 2)), 1, s)[-1]
+    assert _rel(got, want) < 1e-15
+
+
 def test_rapid_decay_passes_skip_the_frame_basis(sech10, monkeypatch):
     # _frame_steps serves finite density only
     calls = []

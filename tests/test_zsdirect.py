@@ -342,3 +342,16 @@ def test_reflection_division_by_zero():
                         coupling=Coupling(0.5))
     with pytest.raises(DivisionByZeroA):
         reflection(sd, 0.0)
+
+
+def test_reflection_refuses_the_forbidden_gap():
+    # defocusing finite density: no data lives in the gap (-1, 1), nor
+    # between a gap edge and the nearest sample of its segment
+    kg = make_kgrid(Coupling(1.0), FiniteDensity(rho=1.0, theta=0.0), 5.0, 10)
+    k = kg.samples
+    sd = ScatteringData(kgrid=kg, a=np.ones(len(k), complex), b=0.1 * k.astype(complex),
+                        coupling=Coupling(1.0))
+    for kq in (0.0, 0.5, -0.999, 1.0, -1.1):
+        with pytest.raises(BranchPoint):
+            reflection(sd, kq)
+    assert abs(reflection(sd, 3.0) - 0.3) < 1e-15
