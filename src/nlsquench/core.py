@@ -350,6 +350,8 @@ class ScatteringData:
         b = np.asarray(self.b, dtype=np.complex128).copy()
         if len(a) != self.kgrid.n or len(b) != self.kgrid.n:
             raise NlsQuenchError("a, b must be sampled on the spectral grid")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise NlsQuenchError("a, b samples must be finite")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "a", a)

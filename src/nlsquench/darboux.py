@@ -2,10 +2,12 @@
 while leaving b(k) untouched, and the composite field-side quench built
 from them plus the radiative reconstruction.
 
+Only a rapidly decreasing field at a focusing coupling has zeros of a(k)
+to add or remove, so the dressings are defined there alone (c/c* = -1).
 The dressing matrix is D = k 1 - Sigma with Sigma = H Lambda H^{-1} built
 from the two Jost columns at the target eigenvalue; the field update is
 
-    q~ = q - 2i (k0* - k0) sigma* / (c (1 - (c/c*) |sigma|^2)),
+    q~ = q - 2i (k0* - k0) sigma* / (c (1 + |sigma|^2)),
 
 with sigma the component ratio of the mixed column.  The sign convention
 was fixed against the direct solver: adding a zero multiplies a(k) by
@@ -43,10 +45,6 @@ from .zsdirect import (
     default_zero_region,
     scatter_grid,
 )
-
-
-class SingularH(NlsQuenchError):
-    pass
 
 
 class RemoveNonexistentZero(NlsQuenchError):
@@ -102,9 +100,6 @@ def _columns_full(p: FieldProfile, c: Coupling, k0: complex, cfg: IntegratorConf
     """Gauge-removed Jost columns R (grown from the left) and L (from the
     right) on the whole working grid, each integrated in its decaying
     direction, from the unfused column table (see zsdirect._column_table)."""
-    if not isinstance(p.asymptotics, Schwartz):
-        raise NlsQuenchError("dressing needs a rapidly decreasing profile")
-
     table = _column_table(p, c, cfg, meet=False)
     xs, j_lo, j_hi = table.xs, table.j_lo, table.j_hi
     rise, fall = table.steps(np.array([k0], dtype=np.complex128))
@@ -140,36 +135,27 @@ def _refined_zero(p: FieldProfile, c: Coupling, k0: complex,
     return k_ref
 
 
-def _sigma_on_grid(p: FieldProfile, c: Coupling, step: DarbouxStep,
-                   cfg: IntegratorConfig):
-    """Mixing ratio sigma(x) = beta/alpha in a dual representation
-    (sigma where bounded, 1/sigma where it blows up), so downstream
-    formulas never overflow.
+def _mixed_column(p: FieldProfile, c: Coupling, step: DarbouxStep,
+                  cfg: IntegratorConfig):
+    """(xs, k0, beta, alpha): the mixed column (alpha, beta) of a dressing
+    at a focusing coupling, scaled node by node to max(|alpha|, |beta|) =
+    1, so that sigma = beta/alpha is never formed and nothing overflows.
 
-    Add mode mixes the two columns, (alpha, (c/c*) beta) =
+    Add mode mixes the two columns, (alpha, -beta) =
     R e^{-i k0 x} - mu L e^{i k0 x}.  Remove mode evaluates at the zero of
     a(k), where L is proportional to R and the mixing coefficient drops
     out; the pure-R ratio is the numerically stable form.
     """
-    if c.value == 0:
-        raise NlsQuenchError("dressing is undefined at zero coupling")
-    eps_c = c.value / np.conj(c.value)  # +-1 on the admissible rays
     if step.mode == MODE_REMOVE:
         # At a zero of a(k) the two decaying Jost solutions coincide, so
-        # sigma has two representations of the same ratio:
-        #   R2/(eps R1) from the left-grown column, L2/(eps L1) from the
-        # right-grown one.  Each is only trustworthy on its own side (the
-        # other side runs past the precision horizon e^{-2 Im k0 |x|}), so
-        # they are stitched at the grid centre, where both are healthy.
+        # sigma has two representations of the same ratio: -R2/R1 from the
+        # left-grown column, -L2/L1 from the right-grown one.  Each is only
+        # trustworthy on its own side (the other side runs past the
+        # precision horizon e^{-2 Im k0 |x|}), so they are stitched at the
+        # grid centre, where both are healthy.
         k0 = _refined_zero(p, c, step.k0, cfg)
         xs, R, Lc = _columns_full(p, c, k0, cfg)
         mid = len(xs) // 2
-        top = np.empty(len(xs), dtype=np.complex128)
-        bot = np.empty_like(top)
-        top[:mid] = R[:mid, 1] / eps_c
-        bot[:mid] = R[:mid, 0]
-        top[mid:] = Lc[mid:, 1] / eps_c
-        bot[mid:] = Lc[mid:, 0]
         # seam consistency: both forms describe one projective direction
         num = R[mid, 1] * Lc[mid, 0] - R[mid, 0] * Lc[mid, 1]
         den = max(np.abs(R[mid]).max() * np.abs(Lc[mid]).max(), 1e-300)
@@ -178,6 +164,7 @@ def _sigma_on_grid(p: FieldProfile, c: Coupling, step: DarbouxStep,
                 f"columns do not align at the zero {k0} "
                 f"(seam mismatch {abs(num) / den:.2e})"
             )
+        vec = np.concatenate([R[:mid], Lc[mid:]])
     else:
         k0, mu = step.k0, step.mu_param
         xs, R, Lc = _columns_full(p, c, k0, cfg)
@@ -187,38 +174,28 @@ def _sigma_on_grid(p: FieldProfile, c: Coupling, step: DarbouxStep,
         vec[pos] = R[pos] - mu * u[:, None] * Lc[pos]
         v = np.exp(-2j * k0 * xs[~pos])      # |v| <= 1 on x < 0
         vec[~pos] = v[:, None] * R[~pos] - mu * Lc[~pos]
-        top = vec[:, 1] / eps_c
-        bot = vec[:, 0]
-    # dual representation: sig on points where |top| <= |bot|, inv = 1/sig
-    # elsewhere
-    use_inv = np.abs(top) > np.abs(bot)
-    sig = np.zeros(len(xs), dtype=np.complex128)
-    inv = np.zeros_like(sig)
-    np.divide(top, bot, out=sig, where=~use_inv)
-    np.divide(bot, top, out=inv, where=use_inv)
-    return xs, k0, sig, inv, use_inv, eps_c
-
-
-def _dressing_weight(sig, inv, use_inv, eps_c):
-    """w = sigma* / (1 - (c/c*) |sigma|^2), finite in both representations:
-    in terms of u = 1/sigma it is u / (|u|^2 - (c/c*))."""
-    w = np.empty_like(sig)
-    den_s = 1.0 - eps_c * np.abs(sig) ** 2
-    den_u = np.abs(inv) ** 2 - eps_c
-    bad = np.where(use_inv, np.abs(den_u) < 1e-12, np.abs(den_s) < 1e-12)
-    if bad.any():
-        raise SingularH(f"dressing denominator vanishes (first index {int(np.argmax(bad))})")
-    w[~use_inv] = np.conj(sig[~use_inv]) / den_s[~use_inv]
-    w[use_inv] = inv[use_inv] / den_u[use_inv]
-    return w
+    vec /= np.abs(vec).max(axis=1, keepdims=True)
+    return xs, k0, -vec[:, 1], vec[:, 0]
 
 
 def apply_bt(p: FieldProfile, c: Coupling, step: DarbouxStep,
              cfg: IntegratorConfig = DEFAULT_INTEGRATOR,
              boundary_tol: Optional[float] = None) -> FieldProfile:
-    """Dressed field on the profile grid; rapid decay is revalidated."""
-    xs, k0, sig, inv, use_inv, eps_c = _sigma_on_grid(p, c, step, cfg)
-    w = _dressing_weight(sig, inv, use_inv, eps_c)
+    """Dressed field on the profile grid; rapid decay is revalidated.
+
+    Scope is checked before any column table is built: a profile that is
+    not rapidly decreasing raises UnsupportedAsymptotics, and at a
+    non-focusing coupling, where such a field has no bound states, an add
+    raises BoundStatesLost and a removal RemoveNonexistentZero."""
+    _require_schwartz(p, "dressing")
+    if c.regime != "focusing":
+        lost = BoundStatesLost if step.mode == MODE_ADD else RemoveNonexistentZero
+        raise lost(f"a rapidly decreasing field has no zeros of a(k) at the "
+                   f"{c.regime} coupling {c.value}")
+    # with (t, b) = (beta, alpha), sigma = t/b and sigma* / (1 + |sigma|^2)
+    # = t* b / (|t|^2 + |b|^2), whose denominator is >= 1 at max(|t|, |b|) = 1
+    xs, k0, t, b = _mixed_column(p, c, step, cfg)
+    w = np.conj(t) * b / (np.abs(t) ** 2 + np.abs(b) ** 2)
     upd = -2j * (np.conj(k0) - k0) * w / c.value
     vals = p.values + upd[:: cfg.substeps(p.h)]
     tol = boundary_tol if boundary_tol is not None else max(p.boundary_tol, 1e-7)

@@ -62,12 +62,17 @@ class RadiativeData:
 
 
 def radiative_part(sd: ScatteringData) -> RadiativeData:
-    """Reflection data of a zero-free ScatteringData."""
+    """Reflection data of a zero-free ScatteringData; DivisionByZeroA where
+    |a| < 1e-13, as in zsdirect.reflection."""
     if sd.discrete:
         raise NlsQuenchError(
             "scattering data carries bound states; strip them before "
             "reconstructing from the radiative part"
         )
+    small = np.abs(sd.a) < 1e-13
+    if small.any():
+        raise zsdirect.DivisionByZeroA(
+            f"a vanishes at grid node k = {sd.kgrid.samples[np.argmax(small)]}")
     return RadiativeData(kgrid=sd.kgrid, rho=sd.reflection_samples(),
                          coupling=sd.coupling)
 

@@ -20,9 +20,9 @@ from .core import (
     FiniteDensity,
     KGrid,
     NlsQuenchError,
-    Schwartz,
 )
-from .zsdirect import DEFAULT_INTEGRATOR, IntegratorConfig, _lagrange4, scattering_batch
+from .zsdirect import (DEFAULT_INTEGRATOR, IntegratorConfig, _lagrange4, _require_schwartz,
+                       scattering_batch)
 
 
 class BlowUp(NlsQuenchError):
@@ -219,8 +219,7 @@ def isospectral_check(p: FieldProfile, c: Coupling, t: float, kgrid: KGrid,
 
     Snapshots are spectrally upsampled 4-fold before scattering so the
     comparison is not limited by the stepper grid."""
-    if not isinstance(p.asymptotics, Schwartz):
-        raise NlsQuenchError("the drift check is defined for decaying profiles")
+    _require_schwartz(p, "the drift check")
     p0 = fft_upsample(_resampled_profile(p, scfg), 4)
     pt = fft_upsample(evolve(p, c, t, scfg), 4)
     k = kgrid.samples

@@ -277,6 +277,21 @@ def test_darboux_dual_with_zeros_to_defocusing_fails(tmp_path):
     assert not os.path.exists(os.path.join(out, "result_profile.json"))
 
 
+def test_darboux_add_at_defocusing_coupling_exit_two(tmp_path, capsys):
+    # this add used to exit 0 with a spike of max|q| = 434
+    cfg = {"profile": {"builtin": "gaussian", "amp": 0.8, "L": 20.0, "n": 2001,
+                       "boundary_tol": 1e-10},
+           "coupling": {"re": 0.5},
+           "steps": [{"k0": {"re": 0.3, "im": 0.7}, "mu": {"re": 1.0, "im": 0.0},
+                      "mode": "add"}]}
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = str(tmp_path / "run")
+    capsys.readouterr()
+    assert main(["darboux", "--config", path, "--out", out]) == 2
+    assert "no zeros of a(k) at the defocusing coupling" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "result_profile.json"))
+
+
 def test_verify_zero_field_passes(tmp_path):
     cfg = {
         "profile": {"builtin": "zero", "L": 10.0, "n": 128},
@@ -386,6 +401,25 @@ def _radiative_data(tmp_path):
     out = str(tmp_path / "scatter_run")
     assert main(["scatter", "--config", cfg, "--out", out]) == 0
     return os.path.join(out, "scattering.json")
+
+
+@pytest.mark.parametrize("entry, bad, cause", [
+    ("a", np.nan, "must be finite"), ("a", 0.0, "a vanishes"),
+    ("b", np.inf, "must be finite")], ids=["nan-a", "zero-a", "inf-b"])
+def test_malformed_scattering_data_exit_two(tmp_path, capsys, entry, bad, cause):
+    # each used to run GMRES to its iteration cap on NaN, with numpy
+    # RuntimeWarnings, and exit 2 with "GMRES residual stalled at nan"
+    data = load_json(_radiative_data(tmp_path))
+    data[f"{entry}_re"][30] = bad
+    data[f"{entry}_im"][30] = 0.0
+    path = str(tmp_path / "bad.json")
+    dump_json(data, path)
+    cfg = _write(tmp_path, "rcfg.json", {"data_path": path, "xgrid": {"L": 4.0, "n": 41}})
+    out = tmp_path / "rec"
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    assert cause in capsys.readouterr().err
+    assert not (out / "field.json").exists()
 
 
 def test_reconstruct_short_xgrid_exit_two(tmp_path):

@@ -226,3 +226,11 @@ def test_non_finite_samples_rejected():
             make_profile(vals, 10.0, Schwartz())
         with pytest.raises(NlsQuenchError):
             KGrid(np.array([-1.0, 0.0, 1.0, bad]))
+        # in scattering data they used to reach the GLM solve, which ran
+        # GMRES to its iteration cap on NaN
+        for entry in ("a", "b"):
+            ab = {"a": np.ones(3, complex), "b": np.zeros(3, complex)}
+            ab[entry][1] = bad
+            with pytest.raises(NlsQuenchError, match="finite"):
+                ScatteringData(kgrid=KGrid(np.array([-1.0, 0.0, 1.0])),
+                               coupling=Coupling(0.5), **ab)

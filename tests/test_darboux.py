@@ -40,6 +40,17 @@ def gauss_half():
                         boundary_tol=1e-10)
 
 
+@pytest.fixture
+def no_column_table(monkeypatch):
+    """Fails the test if a column table is built: every sample of a(k) or
+    of a Jost column goes through one."""
+    def build(*args, **kwargs):
+        raise AssertionError("column table built out of scope")
+
+    for mod in (zsdirect, darboux):
+        monkeypatch.setattr(mod, "_column_table", build)
+
+
 def test_step_validation():
     with pytest.raises(NlsQuenchError):
         DarbouxStep(k0=0.3 - 0.2j)
@@ -133,11 +144,30 @@ def test_remove_unknown_zero_rejected():
         bt_data_effect(sd, DarbouxStep(k0=1j, mu_param=1.0, mode="remove"))
 
 
-def test_remove_without_actual_zero_rejected(gauss_half):
+def test_remove_without_actual_zero_rejected(gauss_half, no_column_table):
     # the defocusing data of this profile have no bound states at all
     with pytest.raises(RemoveNonexistentZero):
         apply_bt(gauss_half, Coupling(0.5),
                  DarbouxStep(k0=0.4 + 0.5j, mu_param=1.0, mode="remove"))
+
+
+@pytest.mark.parametrize("c", [Coupling(0.5), Coupling(1.0)])
+def test_add_at_defocusing_coupling_rejected(gauss_half, no_column_table, c):
+    # a rapidly decreasing field has no bound states off the focusing ray;
+    # this add used to return a spike (max|q| 262-783)
+    with pytest.raises(BoundStatesLost):
+        apply_bt(gauss_half, c, DarbouxStep(k0=0.3 + 0.7j, mu_param=1.0, mode="add"))
+
+
+@pytest.mark.parametrize("mode", ["add", "remove"])
+def test_dressing_refuses_finite_density(no_column_table, mode):
+    # a removal used to run Newton on a meaningless column table
+    x = np.linspace(-15.0, 15.0, 1501)
+    p = soliton_profile_fd_defocusing(SolitonParamsFD(rho=1.0, theta=np.pi / 2), x,
+                                      boundary_tol=1e-6)
+    for c in (Coupling(1.0), Coupling(1j)):
+        with pytest.raises(UnsupportedAsymptotics):
+            apply_bt(p, c, DarbouxStep(k0=0.5j, mu_param=1.0, mode=mode))
 
 
 def test_strip_radiative_profile_is_noop(gauss_half):
@@ -147,15 +177,9 @@ def test_strip_radiative_profile_is_noop(gauss_half):
 
 
 @pytest.mark.parametrize("c", [Coupling(0.5), Coupling(0.0)])
-def test_strip_searches_only_at_focusing_couplings(gauss_half, monkeypatch, c):
+def test_strip_searches_only_at_focusing_couplings(gauss_half, no_column_table, c):
     # a rapidly decreasing field has no zeros of a(k) off the focusing ray,
-    # so a(k) is never sampled there: every sample goes through a column
-    # table, and none may be built
-    def no_search(*args, **kwargs):
-        raise AssertionError("a(k) sampled at a non-focusing coupling")
-
-    for mod in (zsdirect, darboux):
-        monkeypatch.setattr(mod, "_column_table", no_search)
+    # so a(k) is never sampled there
     out, steps = strip_solitons(gauss_half, c)
     assert steps == [] and out is gauss_half
 
@@ -320,7 +344,7 @@ def test_dual_quench_generic_path_needs_decaying_profile():
         dual_quench(p, Coupling(1.0), Coupling(0.5j), KGrid(np.linspace(-4.0, 4.0, 41)))
 
 
-def test_dressing_rejects_zero_coupling(gauss_half):
+def test_dressing_rejects_zero_coupling(gauss_half, no_column_table):
     with pytest.raises(NlsQuenchError):
         apply_bt(gauss_half, Coupling(0.0),
                  DarbouxStep(k0=1j, mu_param=1.0, mode="add"))

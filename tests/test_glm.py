@@ -176,6 +176,17 @@ def test_radiative_part_refuses_bound_states(sech25, focusing, fine_cfg):
         radiative_part(sd)
 
 
+def test_radiative_part_refuses_vanishing_a():
+    # rho = b/a used to divide by the zero; reflection has the same guard
+    k = np.linspace(-2, 2, 11)
+    a = np.ones(11, complex)
+    a[3] = 1e-14
+    sd = core.ScatteringData(kgrid=KGrid(k), a=a, b=np.zeros(11, complex),
+                             coupling=Coupling(0.5))
+    with pytest.raises(zsdirect.DivisionByZeroA, match="a vanishes"):
+        radiative_part(sd)
+
+
 def test_singular_resolvent_guard_on_grid(gauss_data, monkeypatch):
     # the grid reconstruction runs the same conditioning guard as
     # rosales_resummed

@@ -5,6 +5,7 @@ import oracle_reference as ref
 from nlsquench.core import (
     Coupling,
     FiniteDensity,
+    KGrid,
     NlsQuenchError,
     Schwartz,
     make_kgrid,
@@ -22,7 +23,7 @@ from nlsquench.oracle import (
     isospectral_check,
     mass,
 )
-from nlsquench.zsdirect import IntegratorConfig
+from nlsquench.zsdirect import IntegratorConfig, UnsupportedAsymptotics
 from conftest import grid
 
 
@@ -176,6 +177,13 @@ def test_fft_upsample_exact_for_smooth_fields():
     # exact up to the periodisation kink of the tails (~|q(L)|)
     assert np.max(np.abs(up.values - 1 / np.cosh(up.x))) < 1e-9
     assert len(up.values) == 4 * n
+
+
+def test_isospectral_refuses_finite_density():
+    p = make_profile(1.0 + 0.3 * np.exp(-_FD_X ** 2), 20.0,
+                     FiniteDensity(rho=1.0, theta=0.0), boundary_tol=1e-6)
+    with pytest.raises(UnsupportedAsymptotics):
+        isospectral_check(p, Coupling(1.0), 0.1, KGrid(np.linspace(-2.0, 2.0, 5)))
 
 
 def test_isospectral_zero_time(sech40, focusing):
