@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every subcommand reads one JSON config, writes a run directory containing
-an echo of the config, the result artifacts (JSON + CSV projections) and a
-manifest.  Outputs are deterministic: identical configs give bit-identical
-files.
+Every subcommand reads one JSON config and returns its artifacts (JSON
+documents and CSV tables); main writes them into the run directory next to
+an echo of the config and a manifest listing the files.  Outputs are
+deterministic: identical configs give bit-identical files.
 
 Exit codes: 0 success, 1 config/input error, 2 numerical failure (including
 verification residuals above their thresholds).
@@ -44,13 +44,41 @@ from .zsdirect import IntegratorConfig, find_zeros, scatter_grid
 
 __version__ = "0.1.0"
 
+_REQUIRED = object()
+
 
 class ConfigError(Exception):
     pass
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+class _Config:
+    """One JSON object of a run config, named by its key ("" at the top).
+    A read casts the value as the command needs it and raises ConfigError
+    naming the key for a null, a value the cast refuses or a block that is
+    not an object; an absent key takes the default."""
+
+    def __init__(self, data, name=""):
+        if not isinstance(data, dict):
+            raise ConfigError(f"{name or 'the config'} must be a JSON object")
+        self.data, self.prefix = data, f"{name}." if name else ""
+
+    def __contains__(self, key):
+        return key in self.data
+
+    def __call__(self, key, default=_REQUIRED, cast=float):
+        if key not in self.data and default is not _REQUIRED:
+            return default
+        value = self.data.get(key)
+        if value is None:
+            raise ConfigError(f"{self.prefix}{key} is {'null' if key in self else 'required'}")
+        try:
+            return cast(value)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{self.prefix}{key}: {exc}") from exc
+
+    def block(self, key, required=False) -> "_Config":
+        """The block at key; an absent one is empty unless required."""
+        return _Config(self(key, _REQUIRED if required else {}, lambda v: v), self.prefix + key)
 
 
 def _write_csv(path, header, columns):
@@ -58,260 +86,206 @@ def _write_csv(path, header, columns):
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for i in range(rows):
-            f.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+            f.write(",".join(format(float(col[i]), ".17g") for col in columns) + "\n")
 
 
-def _scattering_csv(path, sd: ScatteringData):
-    rho = np.abs(sd.reflection_samples())
-    _write_csv(path,
-               ["k", "re_a", "im_a", "re_b", "im_b", "abs_rho"],
-               [sd.kgrid.samples, sd.a.real, sd.a.imag, sd.b.real, sd.b.imag, rho])
+def _scattering_csv(sd: ScatteringData):
+    return (["k", "re_a", "im_a", "re_b", "im_b", "abs_rho"],
+            [sd.kgrid.samples, sd.a.real, sd.a.imag, sd.b.real, sd.b.imag,
+             np.abs(sd.reflection_samples())])
 
 
-def _profile_csv(path, p: FieldProfile):
-    _write_csv(path, ["x", "re_q", "im_q", "abs_q"],
-               [p.x, p.values.real, p.values.imag, np.abs(p.values)])
+def _profile_csv(p: FieldProfile):
+    return ["x", "re_q", "im_q", "abs_q"], [p.x, p.values.real, p.values.imag, np.abs(p.values)]
 
 
-def _build_profile(cfg) -> FieldProfile:
-    spec = cfg.get("profile")
-    if spec is None:
+def _build_profile(cfg: _Config) -> FieldProfile:
+    if "profile" not in cfg:
         raise ConfigError("a profile block (or --builtin) is required")
-    tol = float(spec.get("boundary_tol", 1e-8))
+    spec = cfg.block("profile")
+    tol = spec("boundary_tol", 1e-8)
     if "path" in spec:
-        if not os.path.exists(spec["path"]):
-            raise ConfigError(f"profile file {spec['path']!r} does not exist")
-        p = FieldProfile.from_json_dict(load_json(spec["path"]))
+        path = spec("path", cast=str)
+        if not os.path.exists(path):
+            raise ConfigError(f"profile file {path!r} does not exist")
+        p = FieldProfile.from_json_dict(load_json(path))
         return replace(p, boundary_tol=tol).validate()
-    kind = spec.get("builtin")
+    kind = spec("builtin", None, str)
     if kind is None:
         raise ConfigError("profile needs either 'path' or 'builtin'")
-    L = float(spec.get("L", 40.0))
-    n = int(spec.get("n", 4001))
+    L = spec("L", 40.0)
+    n = spec("n", 4001, int)
     x = np.linspace(-L, L, n)
     if kind == "zero":
         return make_profile(np.zeros(n, dtype=complex), L, Schwartz(), boundary_tol=tol)
     if kind == "sech":
-        pars = SolitonParamsRD(A=float(spec.get("A", 1.0)), V=float(spec.get("V", 0.0)),
-                               phi0=float(spec.get("phi0", 0.0)), x0=float(spec.get("x0", 0.0)))
+        pars = SolitonParamsRD(A=spec("A", 1.0), V=spec("V", 0.0),
+                               phi0=spec("phi0", 0.0), x0=spec("x0", 0.0))
         return soliton_profile_rd(pars, x, boundary_tol=tol)
     if kind == "gaussian":
-        amp = float(spec.get("amp", 0.2))
-        width = float(spec.get("width", 1.0))
+        amp = spec("amp", 0.2)
+        width = spec("width", 1.0)
         return make_profile(amp * np.exp(-(x / width) ** 2), L, Schwartz(), boundary_tol=tol)
     if kind == "fd_dark":
-        pars = SolitonParamsFD(rho=float(spec.get("rho", 1.0)),
-                               theta=float(spec.get("theta", np.pi / 2)))
+        pars = SolitonParamsFD(rho=spec("rho", 1.0), theta=spec("theta", np.pi / 2))
         return soliton_profile_fd_defocusing(pars, x, boundary_tol=tol)
     if kind == "fd_pedestal":
-        return profile_fd_focusing(float(spec.get("Z", 2.0)), x, boundary_tol=tol)
+        return profile_fd_focusing(spec("Z", 2.0), x, boundary_tol=tol)
     raise ConfigError(f"unknown builtin profile {kind!r}")
 
 
-def _coupling(spec) -> Coupling:
+def _coupling(cfg: _Config, key) -> Coupling:
+    spec = cfg.block(key, required=True)
     try:
-        return Coupling(complex(float(spec.get("re", 0.0)), float(spec.get("im", 0.0))))
+        return Coupling(complex(spec("re", 0.0), spec("im", 0.0)))
     except NlsQuenchError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _kgrid(spec, c: Coupling, p: FieldProfile):
-    return make_kgrid(c, p.asymptotics, float(spec.get("k_max", 5.0)),
-                      int(spec.get("n", 201)))
+def _kgrid(spec: _Config, c: Coupling, p: FieldProfile):
+    return make_kgrid(c, p.asymptotics, spec("k_max", 5.0), spec("n", 201, int))
 
 
-def _integrator(spec) -> IntegratorConfig:
-    spec = spec or {}
-    return IntegratorConfig(step=spec.get("step"))
+def _integrator(cfg: _Config) -> IntegratorConfig:
+    return IntegratorConfig(step=cfg.block("integrator")("step", None))
 
 
-def _stepper(spec) -> StepperConfig:
-    spec = spec or {}
-    return StepperConfig(dt=float(spec.get("dt", 1e-4)),
-                         n_modes=int(spec.get("n_modes", 2048)))
+def _stepper(spec: _Config) -> StepperConfig:
+    return StepperConfig(dt=spec("dt", 1e-4), n_modes=spec("n_modes", 2048, int))
 
 
-def _outdir(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _finish(outdir, cfg, command, files):
-    dump_json(cfg, os.path.join(outdir, "config.json"))
-    manifest = {"command": command, "files": sorted(files + ["config.json"]),
-                "format_version": 1, "package": f"nlsquench {__version__}"}
-    dump_json(manifest, os.path.join(outdir, "manifest.json"))
-
-
-def cmd_scatter(cfg, args) -> int:
+# Each cmd_* reads every config value it needs before it computes, then
+# returns ({file name: JSON document or (CSV header, columns)}, failure
+# lines); only verify has failure lines.  main writes the run directory.
+def cmd_scatter(cfg):
     p = _build_profile(cfg)
-    c = _coupling(cfg["coupling"])
-    kg = _kgrid(cfg.get("kgrid", {}), c, p)
-    sd = scatter_grid(p, c, kg, _integrator(cfg.get("integrator")),
-                      find_discrete=cfg.get("find_discrete"))
-    out = _outdir(args)
-    dump_json(sd.to_json_dict(), os.path.join(out, "scattering.json"))
-    _scattering_csv(os.path.join(out, "scattering.csv"), sd)
-    _finish(out, cfg, "scatter", ["scattering.json", "scattering.csv"])
-    return 0
+    c = _coupling(cfg, "coupling")
+    kg = _kgrid(cfg.block("kgrid"), c, p)
+    icfg = _integrator(cfg)
+    sd = scatter_grid(p, c, kg, icfg, find_discrete=cfg("find_discrete", None, bool))
+    return {"scattering.json": sd.to_json_dict(), "scattering.csv": _scattering_csv(sd)}, []
 
 
-def cmd_quench(cfg, args) -> int:
+def cmd_quench(cfg):
     p = _build_profile(cfg)
-    c = _coupling(cfg["coupling"])
-    c_new = _coupling(cfg["coupling_new"])
-    kg = _kgrid(cfg.get("kgrid", {}), c, p)
-    icfg = _integrator(cfg.get("integrator"))
+    c = _coupling(cfg, "coupling")
+    c_new = _coupling(cfg, "coupling_new")
+    kg = _kgrid(cfg.block("kgrid"), c, p)
+    icfg = _integrator(cfg)
+    factorization = cfg("factorization", False, bool)
     report = quench_map(p, c, c_new, kg, icfg)
-    cls = classify_post_quench(report)
     payload = report.to_json_dict()
-    payload["classification"] = cls.to_json_dict()
-    files = ["quench.json", "pre.csv", "post.csv"]
-    if cfg.get("factorization"):
+    payload["classification"] = classify_post_quench(report).to_json_dict()
+    if factorization:
         fac = _factorization(p, report, icfg)  # no second scatter
         payload["factorization_residual"] = fac.max_residual
         payload["factorization"] = fac.to_json_dict()
-    out = _outdir(args)
-    dump_json(payload, os.path.join(out, "quench.json"))
-    _scattering_csv(os.path.join(out, "pre.csv"), report.pre)
-    _scattering_csv(os.path.join(out, "post.csv"), report.post)
-    _finish(out, cfg, "quench", files)
-    return 0
+    return {"quench.json": payload, "pre.csv": _scattering_csv(report.pre),
+            "post.csv": _scattering_csv(report.post)}, []
 
 
-def cmd_zeros(cfg, args) -> int:
+def cmd_zeros(cfg):
     p = _build_profile(cfg)
-    c = _coupling(cfg["coupling"])
-    region = cfg.get("region")
-    if region is None or len(region) != 4:
-        raise ConfigError("zeros needs region = [re_min, re_max, im_min, im_max]")
-    zs = find_zeros(p, c, tuple(float(v) for v in region), _integrator(cfg.get("integrator")))
+    c = _coupling(cfg, "coupling")
+    region = cfg("region", cast=lambda v: tuple(float(x) for x in v))
+    icfg = _integrator(cfg)
+    if len(region) != 4:
+        raise ConfigError("region must be [re_min, re_max, im_min, im_max]")
+    zs = find_zeros(p, c, region, icfg)
     zs = sorted(zs, key=lambda z: (z.position.imag, z.position.real))
-    out = _outdir(args)
-    dump_json({"zeros": [z.to_json_dict() for z in zs]}, os.path.join(out, "zeros.json"))
-    _write_csv(os.path.join(out, "zeros.csv"), ["re_k0", "im_k0", "order"],
-               [np.array([z.position.real for z in zs]),
-                np.array([z.position.imag for z in zs]),
-                np.array([float(z.order) for z in zs])])
-    _finish(out, cfg, "zeros", ["zeros.json", "zeros.csv"])
-    return 0
+    return {"zeros.json": {"zeros": [z.to_json_dict() for z in zs]},
+            "zeros.csv": (["re_k0", "im_k0", "order"],
+                          [np.array([z.position.real for z in zs]),
+                           np.array([z.position.imag for z in zs]),
+                           np.array([float(z.order) for z in zs])])}, []
 
 
-def cmd_evolve(cfg, args) -> int:
+def cmd_evolve(cfg):
     p = _build_profile(cfg)
-    c = _coupling(cfg["coupling"])
-    t_final = float(cfg.get("time", 1.0))
-    scfg = _stepper(cfg.get("stepper"))
-    n_snap = max(1, int(cfg.get("snapshots", 1)))
+    c = _coupling(cfg, "coupling")
+    t_final = cfg("time", 1.0)
+    scfg = _stepper(cfg.block("stepper"))
+    n_snap = max(1, cfg("snapshots", 1, int))
     times = [t_final * (i + 1) / n_snap for i in range(n_snap)]
-    snaps = []
-    for tv, pt in zip(times, evolve_snapshots(p, c, times, scfg)):
-        d = pt.to_json_dict()
-        d["time"] = tv
-        snaps.append(d)
-    out = _outdir(args)
-    dump_json({"snapshots": snaps}, os.path.join(out, "snapshots.json"))
-    final = FieldProfile.from_json_dict(snaps[-1])
-    dump_json(snaps[-1], os.path.join(out, "final_profile.json"))
-    _profile_csv(os.path.join(out, "final_profile.csv"), final)
-    _finish(out, cfg, "evolve",
-            ["snapshots.json", "final_profile.json", "final_profile.csv"])
-    return 0
+    snaps = [{**pt.to_json_dict(), "time": tv}
+             for tv, pt in zip(times, evolve_snapshots(p, c, times, scfg))]
+    return {"snapshots.json": {"snapshots": snaps}, "final_profile.json": snaps[-1],
+            "final_profile.csv": _profile_csv(FieldProfile.from_json_dict(snaps[-1]))}, []
 
 
-def cmd_reconstruct(cfg, args) -> int:
-    path = cfg.get("data_path")
-    if not path:
-        raise ConfigError("reconstruct needs data_path pointing at scattering data")
+def cmd_reconstruct(cfg):
+    path = cfg("data_path", cast=str)
     if not os.path.exists(path):
         raise ConfigError(f"scattering data file {path!r} does not exist")
+    c0 = _coupling(cfg, "coupling0") if "coupling0" in cfg else None
+    xspec = cfg.block("xgrid")
+    L = xspec("L", 8.0)
+    n = xspec("n", 321, int)
+    t = cfg("time", 0.0)
+    tol = cfg("boundary_tol", 0.05)
     sd = ScatteringData.from_json_dict(load_json(path))
     if sd.discrete:
         raise ConfigError(
             "the data carries bound states and the reconstruction handles the radiative "
             "sector only; run darboux with a 'dual' block on the field instead"
         )
-    c0 = _coupling(cfg["coupling0"]) if "coupling0" in cfg else sd.coupling
-    xspec = cfg.get("xgrid", {})
-    L = float(xspec.get("L", 8.0))
-    n = int(xspec.get("n", 321))
-    xs = np.linspace(-L, L, n)
-    field = reconstruct_field(radiative_part(sd), c0, xs, t=float(cfg.get("time", 0.0)),
-                              boundary_tol=float(cfg.get("boundary_tol", 0.05)))
-    out = _outdir(args)
-    dump_json(field.to_json_dict(), os.path.join(out, "field.json"))
-    _profile_csv(os.path.join(out, "field.csv"), field)
-    _finish(out, cfg, "reconstruct", ["field.json", "field.csv"])
-    return 0
+    field = reconstruct_field(radiative_part(sd), sd.coupling if c0 is None else c0,
+                              np.linspace(-L, L, n), t=t, boundary_tol=tol)
+    return {"field.json": field.to_json_dict(), "field.csv": _profile_csv(field)}, []
 
 
-def cmd_darboux(cfg, args) -> int:
+def cmd_darboux(cfg):
     p = _build_profile(cfg)
-    c = _coupling(cfg["coupling"])
-    icfg = _integrator(cfg.get("integrator"))
+    c = _coupling(cfg, "coupling")
+    icfg = _integrator(cfg)
+    steps = []
     if "dual" in cfg:
-        dual = cfg["dual"]
-        c0 = _coupling(dual["coupling0"])
-        kg = _kgrid(dual.get("kgrid", {}), c, p)
+        dual = cfg.block("dual")
+        c0 = _coupling(dual, "coupling0")
+        kg = _kgrid(dual.block("kgrid"), c, p)
         result = dual_quench(p, c, c0, kg, cfg=icfg,
-                             exact_rescale=dual.get("exact_rescale"))
-        steps_json = []
+                             exact_rescale=dual("exact_rescale", None, bool))
     else:
-        steps = [DarbouxStep.from_json_dict(s) for s in cfg.get("steps", [])]
+        steps = cfg("steps", [], lambda v: [DarbouxStep.from_json_dict(s) for s in v])
         if not steps:
             raise ConfigError("darboux needs 'steps' or a 'dual' block")
         result = p
-        steps_json = []
         for st in steps:
             result = apply_bt(result, c, st, icfg)
-            steps_json.append(st.to_json_dict())
-    out = _outdir(args)
-    dump_json(result.to_json_dict(), os.path.join(out, "result_profile.json"))
-    _profile_csv(os.path.join(out, "result_profile.csv"), result)
-    dump_json({"steps": steps_json}, os.path.join(out, "steps.json"))
-    _finish(out, cfg, "darboux",
-            ["result_profile.json", "result_profile.csv", "steps.json"])
-    return 0
+    return {"result_profile.json": result.to_json_dict(),
+            "result_profile.csv": _profile_csv(result),
+            "steps.json": {"steps": [st.to_json_dict() for st in steps]}}, []
 
 
-def cmd_verify(cfg, args) -> int:
+def cmd_verify(cfg):
     p = _build_profile(cfg)
-    c = _coupling(cfg["coupling"])
-    icfg = _integrator(cfg.get("integrator"))
-    report = {}
-    failures = []
-
-    fac_cfg = cfg.get("factorization")
-    if fac_cfg is not None or "coupling_new" in cfg:
-        fac_cfg = fac_cfg or {}
-        c_new = _coupling(cfg.get("coupling_new", cfg["coupling"]))
-        kg = _kgrid(cfg.get("kgrid", {}), c, p)
-        fac = verify_factorization(p, c, c_new, kg, cfg=icfg)
-        report["factorization"] = fac.to_json_dict()
-        if fac.max_residual > float(fac_cfg.get("max_residual", 1e-5)):
-            failures.append(f"factorization residual {fac.max_residual:.3e}")
-        if fac.x_spread > float(fac_cfg.get("x_spread", 1e-6)):
-            failures.append(f"factorization x-spread {fac.x_spread:.3e}")
-
-    iso_cfg = cfg.get("isospectral")
-    if iso_cfg is not None:
-        kg = _kgrid(cfg.get("kgrid", {}), c, p)
-        drift = isospectral_check(p, c, float(iso_cfg.get("time", 0.5)), kg,
-                                  _stepper(iso_cfg.get("stepper")), icfg)
+    c = _coupling(cfg, "coupling")
+    icfg = _integrator(cfg)
+    fac = cfg.block("factorization") if "factorization" in cfg or "coupling_new" in cfg else None
+    iso = cfg.block("isospectral") if "isospectral" in cfg else None
+    if fac is not None:
+        c_new = _coupling(cfg, "coupling_new" if "coupling_new" in cfg else "coupling")
+        fac_limits = fac("max_residual", 1e-5), fac("x_spread", 1e-6)
+    if iso is not None:
+        iso_time = iso("time", 0.5)
+        scfg = _stepper(iso.block("stepper"))
+        iso_limits = iso("amp_tol", 1e-4), iso("phase_tol", 1e-3)
+    kg = None if fac is None and iso is None else _kgrid(cfg.block("kgrid"), c, p)
+    report, measured = {}, []
+    if fac is not None:
+        result = verify_factorization(p, c, c_new, kg, cfg=icfg)
+        report["factorization"] = result.to_json_dict()
+        measured += zip(("factorization residual", "factorization x-spread"),
+                        (result.max_residual, result.x_spread), fac_limits)
+    if iso is not None:
+        drift = isospectral_check(p, c, iso_time, kg, scfg, icfg)
         report["isospectral"] = drift.to_json_dict()
-        if drift.amp_drift > float(iso_cfg.get("amp_tol", 1e-4)):
-            failures.append(f"amplitude drift {drift.amp_drift:.3e}")
-        if drift.phase_drift > float(iso_cfg.get("phase_tol", 1e-3)):
-            failures.append(f"phase drift {drift.phase_drift:.3e}")
-
+        measured += zip(("amplitude drift", "phase drift"),
+                        (drift.amp_drift, drift.phase_drift), iso_limits)
+    failures = [f"{what} {value:.3e}" for what, value, limit in measured if value > limit]
     report["failures"] = failures
     report["passed"] = not failures
-    out = _outdir(args)
-    dump_json(report, os.path.join(out, "verify.json"))
-    _finish(out, cfg, "verify", ["verify.json"])
-    for line in failures:
-        print(f"FAIL: {line}", file=sys.stderr)
-    return 2 if failures else 0
+    return {"verify.json": report}, failures
 
 
 _COMMANDS = {
@@ -323,6 +297,22 @@ _COMMANDS = {
     "darboux": cmd_darboux,
     "verify": cmd_verify,
 }
+
+
+def _write_run(out, command, cfg, artifacts):
+    """Write every artifact (a JSON document, or a CSV header and columns)
+    and the config echo into out, then a manifest listing what was written."""
+    os.makedirs(out, exist_ok=True)
+    files = {**artifacts, "config.json": cfg}
+    for name, doc in files.items():
+        path = os.path.join(out, name)
+        if isinstance(doc, tuple):
+            _write_csv(path, *doc)
+        else:
+            dump_json(doc, path)
+    manifest = {"command": command, "files": sorted(files),
+                "format_version": 1, "package": f"nlsquench {__version__}"}
+    dump_json(manifest, os.path.join(out, "manifest.json"))
 
 
 def _parser():
@@ -348,22 +338,24 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     try:
-        cfg = {}
-        if args.config:
-            if not os.path.exists(args.config):
-                raise ConfigError(f"config file {args.config!r} does not exist")
-            cfg = load_json(args.config)
+        if args.config and not os.path.exists(args.config):
+            raise ConfigError(f"config file {args.config!r} does not exist")
+        cfg = _Config(load_json(args.config) if args.config else {})
         if args.builtin:
-            cfg.setdefault("profile", {})["builtin"] = args.builtin
+            cfg.data["profile"] = {**cfg.block("profile").data, "builtin": args.builtin}
         if args.command != "reconstruct":  # it reads coupling0 or the data's own
-            cfg.setdefault("coupling", {"re": 0.0, "im": 1.0})
-        return _COMMANDS[args.command](cfg, args)
+            cfg.data.setdefault("coupling", {"re": 0.0, "im": 1.0})
+        artifacts, failures = _COMMANDS[args.command](cfg)
+        _write_run(args.out, args.command, cfg.data, artifacts)
     except (ConfigError, KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NlsQuenchError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    for line in failures:
+        print(f"FAIL: {line}", file=sys.stderr)
+    return 2 if failures else 0
 
 
 if __name__ == "__main__":

@@ -269,6 +269,8 @@ def _field_values(rd: RadiativeData, c0: Coupling, xs, t: float,
     two sizes, so results are reproducible."""
     if method not in ("resolvent", "neumann"):
         raise NlsQuenchError("method must be 'resolvent' or 'neumann'")
+    if c0.value == 0:
+        raise NlsQuenchError("the reconstruction needs a nonzero coupling (Born factor -2/c)")
     op = _ToeplitzKernel(rd, c0, t)
     xs = np.asarray(xs, dtype=float)
     per = max(1, zsdirect._CHUNK // rd.kgrid.n)
@@ -303,8 +305,8 @@ def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
     FFT-applied Toeplitz kernel and raises SingularResolvent under the
     guard described at _gmres_block; method="neumann" sums the iterated
     kernel under the stopping and divergence rules of glm_neumann.  The
-    k-grid must be uniform (NonUniformGrid otherwise), and xgrid needs at
-    least 16 points, as every FieldProfile does."""
+    k-grid must be uniform (NonUniformGrid otherwise), c0 nonzero, and
+    xgrid needs at least 16 points, as every FieldProfile does."""
     xgrid = np.asarray(xgrid, dtype=float)
     if len(xgrid) < 16:
         raise NlsQuenchError("reconstruction grid needs at least 16 points")

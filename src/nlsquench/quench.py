@@ -26,7 +26,6 @@ from .closedforms import predicted_zero_count
 from .zsdirect import (
     DEFAULT_INTEGRATOR,
     IntegratorConfig,
-    IntegratorDiverged,
     UnsupportedAsymptotics,
     _as_array,
     _chunk_steps,
@@ -299,9 +298,7 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
         out[1] *= phases(i0, i1)[:, None]
         return out[0], out[1]
 
-    end, out = _propagate(build, n - 1, (2, nk), record=record, per=per, sigma=_SU2)
-    if not all(np.isfinite(e).all() for e in end):
-        raise IntegratorDiverged("dressing integration produced non-finite values")
+    _, out = _propagate(build, n - 1, (2, nk), record=record, per=per, sigma=_SU2)
     phi_out = out[:, 0]
     alpha, beta = phi_out[..., 0, 0], phi_out[..., 0, 1]
     det = alpha.real ** 2 + alpha.imag ** 2 + beta.real ** 2 + beta.imag ** 2

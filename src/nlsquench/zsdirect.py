@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,6 +82,11 @@ class IntegratorConfig:
     """
 
     step: Optional[float] = None
+
+    def __post_init__(self):
+        if self.step is not None and not (isinstance(self.step, Real) and 0 < self.step < np.inf):
+            raise NlsQuenchError(f"integrator step must be a finite positive number, "
+                                 f"not {self.step!r}")
 
     def substeps(self, h: float) -> int:
         if self.step is None:
@@ -233,7 +239,7 @@ def _chunk_steps(nk: int) -> int:
 
 
 def _unchecked():
-    """Overflow is diagnosed by the callers' isfinite checks, not by numpy
+    """Overflow is diagnosed by _propagate's isfinite check, not by numpy
     noise."""
     return np.errstate(over="ignore", invalid="ignore")
 
@@ -297,7 +303,8 @@ def _propagate(build, nsteps: int, nk, y=None, record=None, per=None, sigma=None
     step matrices of steps i0..i1-1, entries (i1 - i0, *nk), for chunks of
     per steps (default _chunk_steps(nk)).  Returns the final state and the
     states after the step counts in record, as (len(record), *nk, 2, 2)
-    (None without record)."""
+    (None without record); IntegratorDiverged if any of them is not
+    finite."""
     if y is None:
         y = _EYE if sigma is None else _EYE[:2]
     y = tuple(np.broadcast_to(np.asarray(e, dtype=np.complex128), nk) for e in y)
@@ -318,6 +325,8 @@ def _propagate(build, nsteps: int, nk, y=None, record=None, per=None, sigma=None
                 y = _rows(states, -1)
             else:
                 y = _mul(_tree(m, sigma), y, sigma)
+    if not (all(np.isfinite(e).all() for e in y) and (out is None or np.isfinite(out).all())):
+        raise IntegratorDiverged("RK4 integration produced non-finite values")
     return y, out
 
 
@@ -679,8 +688,6 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
     y, traj = _propagate(build, nrows, len(k), y0[:2],
                          record=np.arange(n) if collect else None, sigma=sigma)
     y = _as_array(y, sigma)
-    if not np.isfinite(y).all():
-        raise IntegratorDiverged("transfer-matrix pass produced non-finite values")
 
     if collect:
         traj = traj[::-1]  # recorded from the right end down
@@ -813,8 +820,6 @@ def _meet_columns(table: _ColumnTable, k):
     rise, fall = table.steps(k)
     (r1, _, r2, _), _ = _propagate(rise, len(table.rise), len(k))
     (l2, _, l1, _), _ = _propagate(fall, len(table.fall), len(k))
-    if not all(np.isfinite(v).all() for v in (r1, r2, l1, l2)):
-        raise IntegratorDiverged("Jost column integration produced non-finite values")
     return (r1, r2), (l1, l2)
 
 

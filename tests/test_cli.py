@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nlsquench import cli, oracle, quench, zsdirect
-from nlsquench.cli import main
+from nlsquench.cli import _COMMANDS, main
 from nlsquench.core import Coupling, Schwartz, dump_json, load_json, make_profile
 
 
@@ -236,7 +236,7 @@ def test_evolve_snapshots_branch_off_one_trajectory(tmp_path, monkeypatch):
     assert sum(steps) == 30 + 3
     monkeypatch.setattr(oracle, "_split_steps", split)
     snaps = load_json(os.path.join(out, "snapshots.json"))["snapshots"]
-    p = cli._build_profile(cfg)
+    p = cli._build_profile(cli._Config(cfg))
     scfg = oracle.StepperConfig(dt=1e-3, n_modes=512)
     for snap in snaps:
         want = oracle.evolve(p, Coupling(1j), snap["time"], scfg).values
@@ -514,3 +514,76 @@ def test_reconstruct_gapped_grid_exit_two(tmp_path):
     out = tmp_path / "rec"
     assert main(["reconstruct", "--config", rcfg, "--out", str(out)]) == 2
     assert not (out / "field.json").exists()
+
+
+def test_reconstruct_zero_coupling_exit_two(tmp_path, capsys):
+    # -2/c in the kernel used to end in a ZeroDivisionError traceback, for a
+    # zero coupling0 and for data scattered at c = 0 with no coupling0
+    data = _radiative_data(tmp_path)
+    free = _write(tmp_path, "free.json",
+                  {"profile": {"builtin": "gaussian", "amp": 0.2, "L": 20.0, "n": 401},
+                   "coupling": {"re": 0.0, "im": 0.0}, "kgrid": {"k_max": 4.0, "n": 61}})
+    free_run = str(tmp_path / "free_run")
+    assert main(["scatter", "--config", free, "--out", free_run]) == 0
+    for i, cfg in enumerate(({"data_path": data, "coupling0": {"re": 0.0, "im": 0.0}},
+                             {"data_path": os.path.join(free_run, "scattering.json")})):
+        path = _write(tmp_path, f"rcfg{i}.json", {**cfg, "xgrid": {"L": 4.0, "n": 41}})
+        out = tmp_path / f"rec{i}"
+        capsys.readouterr()
+        assert main(["reconstruct", "--config", path, "--out", str(out)]) == 2
+        assert "nonzero coupling" in capsys.readouterr().err
+        assert not (out / "field.json").exists()
+
+
+def test_integrator_step_exit_codes(tmp_path):
+    # a zero step used to escape main as an OverflowError; a negative step
+    # exits 2 as before, and a string that is a number is read as one
+    for step, code in ((0, 2), (-0.01, 2), ("0.02", 0)):
+        cfg = _write(tmp_path, "cfg.json", {**SCATTER_CFG, "integrator": {"step": step}})
+        out = tmp_path / f"run{step}"
+        assert main(["scatter", "--config", cfg, "--out", str(out)]) == code
+        assert (out / "scattering.json").exists() == (code == 0)
+
+
+_MALFORMED_BASE = {
+    "profile": {"builtin": "gaussian", "amp": 0.2, "L": 10.0, "n": 201},
+    "coupling": {"im": 1.0},
+    "coupling_new": {"im": 2.0},
+    "region": [-1.0, 1.0, 0.05, 1.0],
+    "time": 0.01,
+    "steps": [{"k0": {"re": 0.0, "im": 0.5}, "mu": {"re": 1.0, "im": 0.0}, "mode": "add"}],
+}
+_PROFILE_READERS = ("scatter", "quench", "zeros", "evolve", "darboux", "verify")
+_INTEGRATOR_READERS = ("scatter", "quench", "zeros", "darboux", "verify")
+_DUAL = {"coupling0": {"re": 0.5}, "kgrid": {"n": None}}
+MALFORMED = (
+    [(cmd, "list", "the config") for cmd in sorted(_COMMANDS)]
+    + [(cmd, {"coupling": 5}, "coupling") for cmd in _PROFILE_READERS]
+    + [("reconstruct", {"coupling0": 5}, "coupling0")]
+    + [(cmd, {"profile": "sech"}, "profile") for cmd in _PROFILE_READERS]
+    + [("verify", {"factorization": True}, "factorization")]
+    + [(cmd, {"kgrid": {"n": None}}, "kgrid.n") for cmd in ("scatter", "quench", "verify")]
+    + [("darboux", {"dual": _DUAL}, "dual.kgrid.n")]
+    + [("evolve", {"stepper": {"dt": None}}, "stepper.dt"),
+       ("verify", {"isospectral": {"stepper": {"dt": None}}}, "isospectral.stepper.dt")]
+    + [(cmd, {"integrator": {"step": "fine"}}, "integrator.step")
+       for cmd in _INTEGRATOR_READERS]
+)
+
+
+@pytest.mark.parametrize("command, change, key", MALFORMED,
+                         ids=[f"{c}-{k}" for c, _, k in MALFORMED])
+def test_malformed_config_exit_one(tmp_path, capsys, command, change, key):
+    # each used to escape main as an AttributeError or a TypeError; verify
+    # with "factorization": true did so only after the whole Theta pass
+    if change == "list":
+        cfg = [_MALFORMED_BASE]
+    else:
+        data = _write(tmp_path, "data.json", {})  # read only after coupling0
+        cfg = {**_MALFORMED_BASE, "data_path": data, **change}
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()

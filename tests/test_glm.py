@@ -258,3 +258,20 @@ def test_gapped_grid_raises_typed_error():
     # handler catches the k-grid failure too
     with pytest.raises(core.NonUniformGrid):
         reconstruct_field(rd, c, np.linspace(-3.0, 3.0, 25))
+
+
+def test_zero_coupling_refused_before_the_kernel(monkeypatch):
+    # the Born factor is -2/c: a zero coupling used to die on a
+    # ZeroDivisionError in the kernel's constructor
+    def no_kernel(*args):
+        raise AssertionError("kernel built at a zero coupling")
+
+    monkeypatch.setattr(glm, "_ToeplitzKernel", no_kernel)
+    rd = _flat_rho(0.1)
+    xs = np.linspace(-3.0, 3.0, 25)
+    for call in (lambda: reconstruct_field(rd, Coupling(0), xs),
+                 lambda: reconstruct_field(rd, Coupling(0), xs, method="neumann"),
+                 lambda: glm_neumann(rd, Coupling(0), 0.0),
+                 lambda: rosales_resummed(rd, Coupling(0), 0.0)):
+        with pytest.raises(NlsQuenchError, match="nonzero coupling"):
+            call()

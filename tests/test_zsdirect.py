@@ -182,6 +182,21 @@ def test_scatter_grid_zero_field():
     sd.validate(det_tol=1e-12, edge_tol=1e-6)
 
 
+@pytest.mark.parametrize("step", [0, 0.0, -0.01, np.inf, np.nan, "0.01", [0.01]],
+                         ids=["int-zero", "zero", "negative", "inf", "nan", "string", "list"])
+def test_integrator_step_validated(step):
+    # a zero step used to end in an OverflowError in substeps and a string
+    # step in a numpy TypeError, both only once a pass ran
+    with pytest.raises(NlsQuenchError, match="finite positive"):
+        IntegratorConfig(step=step)
+
+
+def test_integrator_step_accepted():
+    assert IntegratorConfig().substeps(0.02) == 1
+    assert IntegratorConfig(step=0.01).substeps(0.02) == 2
+    assert IntegratorConfig(step=np.float64(0.005)).substeps(0.02) == 4
+
+
 def test_scatter_grid_sech_eigenvalue(sech25, fine_cfg):
     kg = make_kgrid(Coupling(1j), Schwartz(), 4.0, 41)
     sd = scatter_grid(sech25, Coupling(1j), kg, fine_cfg)
@@ -282,6 +297,57 @@ def test_scatter_grid_census_near_axis(A, V, nu):
     assert len(found) == len(expect)
     for z, e in zip(found, expect):
         assert abs(z.position - e) <= 1e-6
+        assert z.order == 1
+
+
+# --- known answers beyond the sech ------------------------------------------
+
+CENSUS_X = grid(25.0, 0.02)
+
+
+def _boosted(r, V):
+    """q = r e^{iVx} for a real envelope r on the census grid."""
+    return make_profile(r * np.exp(1j * V * CENSUS_X), 25.0, Schwartz(), boundary_tol=1e-10)
+
+
+@pytest.mark.parametrize("c", [0.7j, 2.3j, 0.6, 1.4])
+def test_area_theorem(c):
+    # at k = -V/2 the Zakharov-Shabat system of q = r e^{iVx} is a rotation
+    # by |c| times the area of r (hyperbolic when defocusing), for any real
+    # r, here two-signed and multi-lobe; measured |a - ref| <= 1.5e-7
+    V = 0.37
+    r = np.exp(-CENSUS_X ** 2 / 2) * (1.0 + 0.8 * np.sin(3.0 * CENSUS_X))
+    area = 0.02 * np.sum(r)
+    s = scattering_batch(_boosted(r, V), Coupling(c), [-V / 2], IntegratorConfig(step=0.01))
+    a = s[0, 0, 0]
+    ref = np.cos(abs(c) * area) if c.imag else np.cosh(abs(c) * area)
+    assert abs(a - ref) < 1e-6
+
+
+KLAUS_SHAW_SHAPES = {
+    "gaussian": np.exp(-CENSUS_X ** 2 / 2),
+    "sech2": 1.0 / np.cosh(CENSUS_X) ** 2,
+    "stretched": np.exp(-np.abs(CENSUS_X) ** 1.5),
+    "asymmetric": np.where(CENSUS_X < 0, np.exp(-CENSUS_X ** 2 / 2), np.exp(-CENSUS_X ** 2 / 8)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(KLAUS_SHAW_SHAPES))
+@pytest.mark.parametrize("s, V", [(0.3, 0.2), (0.55, -0.4), (1.45, 0.45), (1.6, -0.1),
+                                  (2.55, -0.3), (3.7, 0.3)])
+def test_klaus_shaw_census(shape, s, V):
+    # a single-lobe r >= 0 at c = i nu has N = floor(s + 1/2) zeros, s =
+    # nu * area / pi, all on Re k = -V/2 (Klaus & Shaw 2002); each s is at
+    # least 0.05 from a threshold s = m + 1/2; measured off the line by
+    # <= 1.1e-7
+    r = KLAUS_SHAW_SHAPES[shape]
+    nu = np.pi * s / (0.02 * np.sum(r))
+    c = Coupling(1j * nu)
+    sd = scatter_grid(_boosted(r, V), c, make_kgrid(c, Schwartz(), 4.0, 161),
+                      IntegratorConfig(step=0.01))
+    assert len(sd.discrete) == int(np.floor(s + 0.5))
+    for z in sd.discrete:
+        assert abs(z.position.real + V / 2) < 1e-6
         assert z.order == 1
 
 
