@@ -26,8 +26,11 @@ from .closedforms import (
     soliton_profile_rd,
 )
 from .core import (
+    ConfigError,
     Coupling,
     FieldProfile,
+    InvalidCoupling,
+    JsonReader,
     NlsQuenchError,
     ScatteringData,
     Schwartz,
@@ -43,42 +46,6 @@ from .quench import _factorization, classify_post_quench, quench_map, verify_fac
 from .zsdirect import IntegratorConfig, find_zeros, scatter_grid
 
 __version__ = "0.1.0"
-
-_REQUIRED = object()
-
-
-class ConfigError(Exception):
-    pass
-
-
-class _Config:
-    """One JSON object of a run config, named by its key ("" at the top).
-    A read casts the value as the command needs it and raises ConfigError
-    naming the key for a null, a value the cast refuses or a block that is
-    not an object; an absent key takes the default."""
-
-    def __init__(self, data, name=""):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{name or 'the config'} must be a JSON object")
-        self.data, self.prefix = data, f"{name}." if name else ""
-
-    def __contains__(self, key):
-        return key in self.data
-
-    def __call__(self, key, default=_REQUIRED, cast=float):
-        if key not in self.data and default is not _REQUIRED:
-            return default
-        value = self.data.get(key)
-        if value is None:
-            raise ConfigError(f"{self.prefix}{key} is {'null' if key in self else 'required'}")
-        try:
-            return cast(value)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{self.prefix}{key}: {exc}") from exc
-
-    def block(self, key, required=False) -> "_Config":
-        """The block at key; an absent one is empty unless required."""
-        return _Config(self(key, _REQUIRED if required else {}, lambda v: v), self.prefix + key)
 
 
 def _write_csv(path, header, columns):
@@ -99,16 +66,14 @@ def _profile_csv(p: FieldProfile):
     return ["x", "re_q", "im_q", "abs_q"], [p.x, p.values.real, p.values.imag, np.abs(p.values)]
 
 
-def _build_profile(cfg: _Config) -> FieldProfile:
+def _build_profile(cfg: JsonReader) -> FieldProfile:
     if "profile" not in cfg:
         raise ConfigError("a profile block (or --builtin) is required")
     spec = cfg.block("profile")
     tol = spec("boundary_tol", 1e-8)
     if "path" in spec:
         path = spec("path", cast=str)
-        if not os.path.exists(path):
-            raise ConfigError(f"profile file {path!r} does not exist")
-        p = FieldProfile.from_json_dict(load_json(path))
+        p = FieldProfile.from_json_dict(load_json(path), f"profile file {path!r}")
         return replace(p, boundary_tol=tol).validate()
     kind = spec("builtin", None, str)
     if kind is None:
@@ -134,23 +99,22 @@ def _build_profile(cfg: _Config) -> FieldProfile:
     raise ConfigError(f"unknown builtin profile {kind!r}")
 
 
-def _coupling(cfg: _Config, key) -> Coupling:
-    spec = cfg.block(key, required=True)
+def _coupling(cfg: JsonReader, key) -> Coupling:
     try:
-        return Coupling(complex(spec("re", 0.0), spec("im", 0.0)))
-    except NlsQuenchError as exc:
+        return Coupling(cfg.complex(key, part=0.0))
+    except InvalidCoupling as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _kgrid(spec: _Config, c: Coupling, p: FieldProfile):
+def _kgrid(spec: JsonReader, c: Coupling, p: FieldProfile):
     return make_kgrid(c, p.asymptotics, spec("k_max", 5.0), spec("n", 201, int))
 
 
-def _integrator(cfg: _Config) -> IntegratorConfig:
+def _integrator(cfg: JsonReader) -> IntegratorConfig:
     return IntegratorConfig(step=cfg.block("integrator")("step", None))
 
 
-def _stepper(spec: _Config) -> StepperConfig:
+def _stepper(spec: JsonReader) -> StepperConfig:
     return StepperConfig(dt=spec("dt", 1e-4), n_modes=spec("n_modes", 2048, int))
 
 
@@ -207,23 +171,21 @@ def cmd_evolve(cfg):
     scfg = _stepper(cfg.block("stepper"))
     n_snap = max(1, cfg("snapshots", 1, int))
     times = [t_final * (i + 1) / n_snap for i in range(n_snap)]
-    snaps = [{**pt.to_json_dict(), "time": tv}
-             for tv, pt in zip(times, evolve_snapshots(p, c, times, scfg))]
+    profiles = evolve_snapshots(p, c, times, scfg)
+    snaps = [{**pt.to_json_dict(), "time": tv} for tv, pt in zip(times, profiles)]
     return {"snapshots.json": {"snapshots": snaps}, "final_profile.json": snaps[-1],
-            "final_profile.csv": _profile_csv(FieldProfile.from_json_dict(snaps[-1]))}, []
+            "final_profile.csv": _profile_csv(profiles[-1])}, []
 
 
 def cmd_reconstruct(cfg):
     path = cfg("data_path", cast=str)
-    if not os.path.exists(path):
-        raise ConfigError(f"scattering data file {path!r} does not exist")
     c0 = _coupling(cfg, "coupling0") if "coupling0" in cfg else None
     xspec = cfg.block("xgrid")
     L = xspec("L", 8.0)
     n = xspec("n", 321, int)
     t = cfg("time", 0.0)
     tol = cfg("boundary_tol", 0.05)
-    sd = ScatteringData.from_json_dict(load_json(path))
+    sd = ScatteringData.from_json_dict(load_json(path), f"scattering data file {path!r}")
     if sd.discrete:
         raise ConfigError(
             "the data carries bound states and the reconstruction handles the radiative "
@@ -246,7 +208,7 @@ def cmd_darboux(cfg):
         result = dual_quench(p, c, c0, kg, cfg=icfg,
                              exact_rescale=dual("exact_rescale", None, bool))
     else:
-        steps = cfg("steps", [], lambda v: [DarbouxStep.from_json_dict(s) for s in v])
+        steps = cfg.each("steps", DarbouxStep.from_json_dict, [])
         if not steps:
             raise ConfigError("darboux needs 'steps' or a 'dual' block")
         result = p
@@ -338,16 +300,14 @@ def main(argv=None) -> int:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     try:
-        if args.config and not os.path.exists(args.config):
-            raise ConfigError(f"config file {args.config!r} does not exist")
-        cfg = _Config(load_json(args.config) if args.config else {})
+        cfg = JsonReader(load_json(args.config) if args.config else {})
         if args.builtin:
             cfg.data["profile"] = {**cfg.block("profile").data, "builtin": args.builtin}
         if args.command != "reconstruct":  # it reads coupling0 or the data's own
             cfg.data.setdefault("coupling", {"re": 0.0, "im": 1.0})
         artifacts, failures = _COMMANDS[args.command](cfg)
         _write_run(args.out, args.command, cfg.data, artifacts)
-    except (ConfigError, KeyError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NlsQuenchError as exc:

@@ -6,13 +6,8 @@
 
 The coupling argument of the (a, b) evaluators is deliberately a bare
 complex number, not a validated Coupling: these formulas continue
-analytically off the physical rays.
-
-Caveat on normalisation: the b formulas below reproduce the numerical
-S-matrix entry only at the pinned points (reflectionless couplings and the
-c -> 0 limit).  At generic coupling they differ from the unit-determinant
-convention by a measured factor ~ 1/|c|; regression tests therefore compare
-b only where the convention is unambiguous.
+analytically off the physical rays.  Both a and b are the entries of the
+unit-determinant S-matrix of the direct solver at every coupling.
 """
 
 from __future__ import annotations
@@ -59,13 +54,6 @@ def _sech(z: complex) -> complex:
     if abs(z.real) > 700.0:
         return 2.0 * np.exp(-abs(z.real)) * np.exp(-1j * z.imag * np.sign(z.real))
     return 1.0 / np.cosh(z)
-
-
-def _sinc_sinh(c: complex) -> complex:
-    """sinh(pi c)/c with the limit pi at c = 0."""
-    if abs(c) < 1e-8:
-        return np.pi * (1.0 + (np.pi * c) ** 2 / 6.0)
-    return np.sinh(np.pi * c) / c
 
 
 @dataclass(frozen=True)
@@ -122,13 +110,13 @@ def ab_rapid(k, c: complex, A: float, V: float = 0.0) -> Tuple[complex, complex]
     """Closed-form (a, b) of the bright soliton at coupling c (analytic in c).
 
     a = Gamma(g)^2 / (Gamma(g - ic) Gamma(g + ic)),  g = 1/2 - (i/A)(k + V/2)
-    b = -(sinh(pi c)/c) sech((pi/A)(k + V/2))
+    b = -sinh(pi c) sech((pi/A)(k + V/2))
     """
     k = complex(k)
     c = complex(c)
     g = 0.5 - 1j * (k + V / 2.0) / A
     a = _gamma(g) ** 2 / (_gamma(g - 1j * c) * _gamma(g + 1j * c))
-    b = -_sinc_sinh(c) * _sech(np.pi * (k + V / 2.0) / A)
+    b = -np.sinh(np.pi * c) * _sech(np.pi * (k + V / 2.0) / A)
     return a, b
 
 
@@ -138,17 +126,11 @@ def zeros_rapid(nu: float, A: float, V: float = 0.0) -> List[DiscreteEigenvalue]
     (|nu - n - 1/2| <= 1e-12) is marginal, excluded and warned about."""
     if not nu > 0:
         raise NlsQuenchError("nu must be positive")
-    out = []
-    n = 0
-    while True:
-        height = nu - n - 0.5
-        if height <= 1e-12:
-            if abs(height) <= 1e-12:
-                warnings.warn(f"marginal zero on the real axis at nu = {nu}")
-            break
-        out.append(DiscreteEigenvalue(position=complex(-V / 2.0, A * height), order=1))
-        n += 1
-    return out
+    n = predicted_zero_count(nu)
+    if abs(nu - n - 0.5) <= 1e-12:
+        warnings.warn(f"marginal zero on the real axis at nu = {nu}")
+    return [DiscreteEigenvalue(position=complex(-V / 2.0, A * (nu - m - 0.5)), order=1)
+            for m in range(n)]
 
 
 def predicted_zero_count(nu: float) -> int:
@@ -192,7 +174,7 @@ def ab_finite_defocusing(k, c: complex, params: SolitonParamsFD) -> Tuple[comple
     pedestal factor beta = cos(theta/2) + i (k/mu) sin(theta/2):
 
       a = (z - c)(z + c) / (beta z^2) * Gamma(1-z)^2 / (Gamma(1-z-c) Gamma(1-z+c))
-      b = (sin(pi c)/(pi c)) * (2 pi mu / nu) / sinh(2 pi mu / nu)
+      b = sin(pi c) / sinh(2 pi mu / nu)
 
     The sign of a and the choice beta (rather than its conjugate) are tied
     to the mu ~ k branch and were fixed against the direct solver; flipping
@@ -206,12 +188,7 @@ def ab_finite_defocusing(k, c: complex, params: SolitonParamsFD) -> Tuple[comple
     beta = np.cos(params.theta / 2.0) + 1j * (k / mu) * np.sin(params.theta / 2.0)
     a = ((z - c) * (z + c) / (beta * z ** 2)
          * _gamma(1.0 - z) ** 2 / (_gamma(1.0 - z - c) * _gamma(1.0 - z + c)))
-    w = 2.0 * np.pi * mu / nu
-    if abs(c) < 1e-8:
-        sinc = 1.0 - (np.pi * c) ** 2 / 6.0
-    else:
-        sinc = np.sin(np.pi * c) / (np.pi * c)
-    b = sinc * (w / np.sinh(w))
+    b = np.sin(np.pi * c) / np.sinh(2.0 * np.pi * mu / nu)
     return a, b
 
 
@@ -248,7 +225,7 @@ def ab_finite_focusing(k, g: float, A: float) -> Tuple[complex, complex]:
     expressed through mu(k) = sqrt(k^2 + g^2) (unit background density):
 
       a = Gamma(h)^2 / (Gamma(h - g) Gamma(h + g)),  h = 1/2 - i mu / A
-      b = -(sin(pi g)/g) sech(pi mu / A)
+      b = -sin(pi g) sech(pi mu / A)
     """
     k = complex(k)
     mu = np.sqrt(k * k + g * g)
@@ -256,9 +233,5 @@ def ab_finite_focusing(k, g: float, A: float) -> Tuple[complex, complex]:
         raise BranchPointValue(f"k = {k} is a branch point")
     h = 0.5 - 1j * mu / A
     a = _gamma(h) ** 2 / (_gamma(h - g) * _gamma(h + g))
-    if abs(g) < 1e-8:
-        s = np.pi * (1.0 - (np.pi * g) ** 2 / 6.0)
-    else:
-        s = np.sin(np.pi * g) / g
-    b = -s * _sech(np.pi * mu / A)
+    b = -np.sin(np.pi * g) * _sech(np.pi * mu / A)
     return a, b

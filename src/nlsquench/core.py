@@ -34,6 +34,86 @@ class EmptyGrid(NlsQuenchError):
     pass
 
 
+class ConfigError(NlsQuenchError):
+    """A JSON input (a run config, a profile file, a scattering-data file or
+    a dressing step) is malformed; the message names the document and key."""
+
+
+_REQUIRED = object()
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("must be a list")
+    return value
+
+
+def _floats(value) -> np.ndarray:
+    if not all(isinstance(v, (int, float)) for v in _list(value)):
+        raise TypeError("must be a list of numbers")
+    return np.asarray(value, dtype=float)
+
+
+def _interval(value) -> Tuple[float, float]:
+    lo, hi = _floats(value)
+    return float(lo), float(hi)
+
+
+class JsonReader:
+    """One JSON object of an input document, named by its dotted key ("" at
+    the top) within the document doc ("" for the run config).  A read casts
+    the value and raises ConfigError naming the document and key for a null,
+    a value the cast refuses or a block that is not an object; an absent key
+    takes the default."""
+
+    def __init__(self, data, name="", doc=""):
+        self.data, self.doc, self.prefix = data, doc, f"{name}." if name else ""
+        if not isinstance(data, dict):
+            raise self.error("", " must be a JSON object")
+
+    def error(self, key, what) -> ConfigError:
+        """ConfigError for the value at key ("" for this object itself)."""
+        path = (self.prefix + key).rstrip(".")
+        where = f"{self.doc}: {path}" if self.doc and path else path or self.doc or "the config"
+        return ConfigError(where + what)
+
+    def __contains__(self, key):
+        return key in self.data
+
+    def __call__(self, key, default=_REQUIRED, cast=float):
+        if key not in self.data and default is not _REQUIRED:
+            return default
+        value = self.data.get(key)
+        if value is None:
+            raise self.error(key, " is null" if key in self else " is required")
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise self.error(key, f": {exc}") from exc
+
+    def block(self, key, required=False) -> "JsonReader":
+        """The block at key; an absent one is empty unless required."""
+        return JsonReader(self(key, _REQUIRED if required else {}, lambda v: v),
+                          self.prefix + key, self.doc)
+
+    def each(self, key, parse, default=_REQUIRED) -> list:
+        """parse(item, name, doc) of every item of the list at key."""
+        items = self(key, default, _list)
+        return [parse(v, f"{self.prefix}{key}[{i}]", self.doc) for i, v in enumerate(items)]
+
+    def complex(self, key=None, part=_REQUIRED) -> complex:
+        """The {"re", "im"} value at key (this object itself when key is
+        None); a part that is absent reads as `part`."""
+        spec = self if key is None else self.block(key, required=True)
+        return complex(spec("re", part), spec("im", part))
+
+
+def complex_json(z) -> dict:
+    """The {"re", "im"} JSON value of a complex number."""
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
 FOCUSING = "focusing"
 DEFOCUSING = "defocusing"
 FREE = "free"
@@ -87,9 +167,6 @@ def classify_regime(c: Coupling) -> str:
 class Schwartz:
     """Rapid decay at both ends of the grid."""
 
-    def to_json_dict(self):
-        return {"kind": "schwartz"}
-
 
 @dataclass(frozen=True)
 class FiniteDensity:
@@ -105,19 +182,8 @@ class FiniteDensity:
         if not (0.0 <= self.theta < 2 * np.pi):
             raise NlsQuenchError("theta must lie in [0, 2*pi)")
 
-    def to_json_dict(self):
-        return {"kind": "finite_density", "rho": self.rho, "theta": self.theta}
-
 
 Asymptotics = Union[Schwartz, FiniteDensity]
-
-
-def _asymptotics_from_json(d) -> Asymptotics:
-    if d["kind"] == "schwartz":
-        return Schwartz()
-    if d["kind"] == "finite_density":
-        return FiniteDensity(rho=float(d["rho"]), theta=float(d["theta"]))
-    raise NlsQuenchError(f"unknown asymptotics kind {d['kind']!r}")
 
 
 @dataclass(frozen=True)
@@ -173,23 +239,29 @@ class FieldProfile:
         return self
 
     def to_json_dict(self):
+        a = self.asymptotics
         return {
             "L": self.L,
             "h": self.h,
-            "asymptotics": self.asymptotics.to_json_dict(),
+            "asymptotics": {"kind": "schwartz"} if isinstance(a, Schwartz) else
+                           {"kind": "finite_density", "rho": a.rho, "theta": a.theta},
             "re": self.values.real.tolist(),
             "im": self.values.imag.tolist(),
         }
 
     @staticmethod
-    def from_json_dict(d) -> "FieldProfile":
-        vals = np.asarray(d["re"], dtype=float) + 1j * np.asarray(d["im"], dtype=float)
-        return FieldProfile(
-            L=float(d["L"]),
-            h=float(d["h"]),
-            values=vals,
-            asymptotics=_asymptotics_from_json(d["asymptotics"]),
-        )
+    def from_json_dict(d, doc="profile") -> "FieldProfile":
+        r = JsonReader(d, doc=doc)
+        spec = r.block("asymptotics", required=True)
+        kind = spec("kind", cast=str)
+        if kind == "schwartz":
+            asymptotics = Schwartz()
+        elif kind == "finite_density":
+            asymptotics = FiniteDensity(rho=spec("rho"), theta=spec("theta"))
+        else:
+            raise spec.error("kind", f" {kind!r} is not 'schwartz' or 'finite_density'")
+        values = r("re", cast=_floats) + 1j * r("im", cast=_floats)
+        return FieldProfile(L=r("L"), h=r("h"), values=values, asymptotics=asymptotics)
 
 
 def make_profile(
@@ -320,19 +392,14 @@ class DiscreteEigenvalue:
             raise NlsQuenchError("order must be >= 1")
 
     def to_json_dict(self):
-        d = {"re": self.position.real, "im": self.position.imag, "order": self.order}
-        if self.norming is not None:
-            d["norming"] = {"re": self.norming.real, "im": self.norming.imag}
-        return d
+        norming = {} if self.norming is None else {"norming": complex_json(self.norming)}
+        return {**complex_json(self.position), "order": self.order, **norming}
 
     @staticmethod
-    def from_json_dict(d) -> "DiscreteEigenvalue":
-        norm = d.get("norming")
-        return DiscreteEigenvalue(
-            position=complex(d["re"], d["im"]),
-            order=int(d.get("order", 1)),
-            norming=None if norm is None else complex(norm["re"], norm["im"]),
-        )
+    def from_json_dict(d, name="", doc="zero") -> "DiscreteEigenvalue":
+        r = JsonReader(d, name, doc)
+        return DiscreteEigenvalue(position=r.complex(), order=r("order", 1, int),
+                                  norming=r.complex("norming") if "norming" in r else None)
 
 
 @dataclass(frozen=True)
@@ -400,19 +467,19 @@ class ScatteringData:
             "b_re": self.b.real.tolist(),
             "b_im": self.b.imag.tolist(),
             "zeros": [z.to_json_dict() for z in self.discrete],
-            "coupling": {"re": self.coupling.value.real, "im": self.coupling.value.imag},
+            "coupling": complex_json(self.coupling.value),
+            **({} if self.kgrid.gap is None else {"gap": list(self.kgrid.gap)}),
         }
 
     @staticmethod
-    def from_json_dict(d) -> "ScatteringData":
-        k = np.asarray(d["k"], dtype=float)
-        a = np.asarray(d["a_re"], dtype=float) + 1j * np.asarray(d["a_im"], dtype=float)
-        b = np.asarray(d["b_re"], dtype=float) + 1j * np.asarray(d["b_im"], dtype=float)
-        zeros = tuple(DiscreteEigenvalue.from_json_dict(z) for z in d.get("zeros", []))
-        coup = d.get("coupling", {"re": 1.0, "im": 0.0})
+    def from_json_dict(d, doc="scattering data") -> "ScatteringData":
+        r = JsonReader(d, doc=doc)
         return ScatteringData(
-            kgrid=KGrid(k), a=a, b=b, discrete=zeros,
-            coupling=Coupling(complex(coup["re"], coup["im"])),
+            kgrid=KGrid(r("k", cast=_floats), gap=r("gap", None, _interval)),
+            a=r("a_re", cast=_floats) + 1j * r("a_im", cast=_floats),
+            b=r("b_re", cast=_floats) + 1j * r("b_im", cast=_floats),
+            discrete=r.each("zeros", DiscreteEigenvalue.from_json_dict, ()),
+            coupling=Coupling(r.complex("coupling")),
         )
 
 

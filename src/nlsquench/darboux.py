@@ -25,10 +25,12 @@ from .core import (
     Coupling,
     DiscreteEigenvalue,
     FieldProfile,
+    JsonReader,
     KGrid,
     NlsQuenchError,
     ScatteringData,
     Schwartz,
+    complex_json,
 )
 from .glm import radiative_part, reconstruct_field
 from .zsdirect import (
@@ -81,19 +83,16 @@ class DarbouxStep:
             raise NlsQuenchError(f"unknown mode {self.mode!r}")
 
     def to_json_dict(self):
-        return {
-            "k0": {"re": self.k0.real, "im": self.k0.imag},
-            "mu": {"re": complex(self.mu_param).real, "im": complex(self.mu_param).imag},
-            "mode": self.mode,
-        }
+        return {"k0": complex_json(self.k0), "mu": complex_json(self.mu_param),
+                "mode": self.mode}
 
     @staticmethod
-    def from_json_dict(d) -> "DarbouxStep":
-        return DarbouxStep(
-            k0=complex(d["k0"]["re"], d["k0"]["im"]),
-            mu_param=complex(d["mu"]["re"], d["mu"]["im"]),
-            mode=d["mode"],
-        )
+    def from_json_dict(d, name="", doc="step") -> "DarbouxStep":
+        r = JsonReader(d, name, doc)
+        mode = r("mode", cast=str)
+        if mode not in (MODE_ADD, MODE_REMOVE):
+            raise r.error("mode", f" {mode!r} is not '{MODE_ADD}' or '{MODE_REMOVE}'")
+        return DarbouxStep(k0=r.complex("k0"), mu_param=r.complex("mu"), mode=mode)
 
 
 def _columns_full(p: FieldProfile, c: Coupling, k0: complex, cfg: IntegratorConfig):

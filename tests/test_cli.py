@@ -6,7 +6,9 @@ import pytest
 
 from nlsquench import cli, oracle, quench, zsdirect
 from nlsquench.cli import _COMMANDS, main
-from nlsquench.core import Coupling, Schwartz, dump_json, load_json, make_profile
+from nlsquench.core import (Coupling, FieldProfile, JsonReader, ScatteringData, Schwartz,
+                            dump_json, load_json, make_profile)
+from nlsquench.darboux import DarbouxStep
 
 
 def _write(tmp_path, name, payload):
@@ -236,7 +238,7 @@ def test_evolve_snapshots_branch_off_one_trajectory(tmp_path, monkeypatch):
     assert sum(steps) == 30 + 3
     monkeypatch.setattr(oracle, "_split_steps", split)
     snaps = load_json(os.path.join(out, "snapshots.json"))["snapshots"]
-    p = cli._build_profile(cli._Config(cfg))
+    p = cli._build_profile(JsonReader(cfg))
     scfg = oracle.StepperConfig(dt=1e-3, n_modes=512)
     for snap in snaps:
         want = oracle.evolve(p, Coupling(1j), snap["time"], scfg).values
@@ -586,4 +588,117 @@ def test_malformed_config_exit_one(tmp_path, capsys, command, change, key):
     assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+# --- malformed input documents: profile files, data files, dressing steps ---
+
+_PROFILE_DOC = {"L": 10.0, "h": 0.1, "asymptotics": {"kind": "finite_density", "rho": 1.0,
+                                                      "theta": 0.0},
+                "re": [1.0] * 201, "im": [0.0] * 201}
+_DATA_DOC = {"k": [-2.0, -1.0, 1.0, 2.0], "gap": [-0.5, 0.5],
+             "a_re": [1.0] * 4, "a_im": [0.0] * 4, "b_re": [0.0] * 4, "b_im": [0.0] * 4,
+             "zeros": [{"re": 0.0, "im": 0.5, "order": 1, "norming": {"re": 1.0, "im": 0.0}}],
+             "coupling": {"re": 0.5, "im": 0.0}}
+_STEPS_DOC = {"steps": [{"k0": {"re": 0.0, "im": 0.5}, "mu": {"re": 1.0, "im": 0.0},
+                         "mode": "add"}]}
+_OPTIONAL = {"gap", "zeros", "zeros[0].order", "zeros[0].norming"}
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path of doc, descending into objects and lists of objects."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, dict) or (isinstance(value, list) and isinstance(value[0], dict)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _mutations(kind, doc):
+    """(kind, path, new value or _REMOVE) for every single-key mutation."""
+    out = []
+    for path in _key_paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        if not isinstance(path[-1], int) and _dotted(path) not in _OPTIONAL:
+            out.append((kind, path, _REMOVE))
+        out += [(kind, path, bad) for bad in (None, "x", ["x"], {"x": 1})]
+        if not isinstance(value, (int, float)):
+            out.append((kind, path, 1.5))
+    return out
+
+
+_REMOVE = object()
+# the cases that escaped main, exited 2 or named no key before the reader
+# read every input document
+_ESCAPED = [("profile", ("asymptotics",), "schwartz"), ("profile", (), [_PROFILE_DOC]),
+            ("profile", ("asymptotics", "kind"), "dark"), ("data", ("coupling",), 5),
+            ("data", ("zeros",), ["x"]), ("data", ("a_im",), _REMOVE),
+            ("steps", ("steps", 0, "k0"), 0.5), ("steps", ("steps", 0, "mu"), _REMOVE)]
+INPUT_MUTATIONS = (_ESCAPED + _mutations("profile", _PROFILE_DOC)
+                   + _mutations("data", _DATA_DOC) + _mutations("steps", _STEPS_DOC))
+
+
+def _mutated(doc, path, new):
+    if not path:
+        return new
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _REMOVE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc
+
+
+def _input_run(tmp_path, kind, doc):
+    """(command, config) that reads doc as a profile file, a data file or
+    the config's dressing steps."""
+    if kind == "steps":
+        return "darboux", {"profile": {"builtin": "zero", "L": 25.0, "n": 501},
+                           "coupling": {"im": 1.0}, **doc}
+    path = _write(tmp_path, f"{kind}.json", doc)
+    if kind == "profile":
+        return "scatter", {"profile": {"path": path}, "coupling": {"re": 0.5},
+                           "kgrid": {"k_max": 3.0, "n": 21}, "find_discrete": False}
+    return "reconstruct", {"data_path": path, "xgrid": {"L": 4.0, "n": 41}}
+
+
+def test_input_documents_are_valid(tmp_path, capsys):
+    # the unmutated documents run (the data carry a zero, which reconstruct
+    # refuses by name) and read back as written
+    for kind, doc, code in (("profile", _PROFILE_DOC, 0), ("steps", _STEPS_DOC, 0),
+                            ("data", _DATA_DOC, 1)):
+        command, cfg = _input_run(tmp_path, kind, doc)
+        capsys.readouterr()
+        assert main([command, "--config", _write(tmp_path, "cfg.json", cfg),
+                     "--out", str(tmp_path / kind)]) == code
+    assert "bound states" in capsys.readouterr().err
+    assert ScatteringData.from_json_dict(_DATA_DOC).to_json_dict() == _DATA_DOC
+    assert FieldProfile.from_json_dict(_PROFILE_DOC).to_json_dict() == _PROFILE_DOC
+    assert DarbouxStep.from_json_dict(_STEPS_DOC["steps"][0]).to_json_dict() \
+        == _STEPS_DOC["steps"][0]
+
+
+@pytest.mark.parametrize(
+    "kind, path, new", INPUT_MUTATIONS,
+    ids=[f"{kind}-{_dotted(path) or 'top'}-"
+         f"{'removed' if new is _REMOVE else json.dumps(new)[:12]}"
+         for kind, path, new in INPUT_MUTATIONS])
+def test_malformed_input_document_exit_one(tmp_path, capsys, kind, path, new):
+    base = {"profile": _PROFILE_DOC, "data": _DATA_DOC, "steps": _STEPS_DOC}[kind]
+    command, cfg = _input_run(tmp_path, kind, _mutated(base, path, new))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and _dotted(path) in err
+    if kind != "steps":
+        assert f"{kind}.json" in err
     assert not out.exists()

@@ -68,15 +68,26 @@ def test_ab_rapid_velocity_shift():
 
 
 def test_ab_rapid_free_limit_matches_transform(sech40):
-    # c -> 0: b equals the quadrature of -int e^{2ik xi} q(xi) d xi
+    # c -> 0: b/c equals the quadrature of -int e^{2ik xi} q(xi) d xi
     x = sech40.x
     q = sech40.values
     for k in (-2.0, -0.3, 0.9, 3.5):
         quad = -trapezoid(np.exp(2j * k * x) * q, dx=sech40.h)
-        _, b = ab_rapid(k, 0.0, A=1.0)
-        assert abs(b - quad) < 1e-10
+        _, b = ab_rapid(k, 1e-8, A=1.0)
+        assert abs(b / 1e-8 - quad) < 1e-10
         a, _ = ab_rapid(k, 0.0, A=1.0)
         assert abs(a - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("c", [0.7j, 1.3j, 0.6, 1.4])
+def test_ab_rapid_b_matches_solver(c):
+    # b at generic couplings, focusing and defocusing (measured 6e-9 to 2.5e-8)
+    x = grid(25.0, 0.02)
+    p = soliton_profile_rd(SolitonParamsRD(A=1.0), x, boundary_tol=1e-8)
+    ks = np.array([-2.1, -0.6, 0.0, 0.8, 1.7])
+    s = scattering_batch(p, Coupling(c), ks, IntegratorConfig(step=0.01))
+    b = np.array([ab_rapid(k, c, A=1.0)[1] for k in ks])
+    assert np.max(np.abs(s[:, 0, 1] - b)) < 1e-7
 
 
 def test_ab_rapid_two_soliton_zeros():
@@ -165,11 +176,24 @@ def test_fd_defocusing_gamma_form_equals_product():
 
 
 def test_fd_defocusing_focusing_continuation_never_reflectionless():
+    # |b| is >= 1.8e-7 here (at k = 3.8, g = 0.5), and < 1e-12 at the
+    # reflectionless integer couplings above
     par = SolitonParamsFD(rho=1.0, theta=np.pi / 2)
     for g in (0.5, 1.0, 2.0):
         for k in (1.4, -2.2, 3.8):
             _, b = ab_finite_defocusing(k, 1j * g, par)
-            assert abs(b) > 1e-6
+            assert abs(b) > 1e-9
+
+
+@pytest.mark.parametrize("c", [0.6, 1.4, 2.3])
+def test_fd_defocusing_b_matches_solver(c):
+    # b at generic couplings on the mu ~ k branch (measured 6e-11 to 2.4e-9)
+    par = SolitonParamsFD(rho=1.0, theta=1.94)
+    p = soliton_profile_fd_defocusing(par, grid(20.0, 0.005), boundary_tol=1e-7)
+    ks = np.array([-c - 0.3, -c - 1.1, c + 0.2, c + 0.9, 4.0])
+    s = scattering_batch(p, Coupling(c), ks, IntegratorConfig())
+    b = np.array([ab_finite_defocusing(k, c, par)[1] for k in ks])
+    assert np.max(np.abs(s[:, 0, 1] - b)) < 1e-8
 
 
 def test_fd_defocusing_matches_solver():
@@ -226,6 +250,16 @@ def test_pedestal_matches_solver():
         a_cf, _ = ab_finite_focusing(k, 1.0, 1.5)
         assert abs(s[i, 1, 1] - a_cf) < 1e-6
         assert abs(s[i, 0, 1]) < 1e-6
+
+
+@pytest.mark.parametrize("g", [0.6, 1.3, 2.4])
+def test_pedestal_b_matches_solver(g):
+    # b at non-integer couplings (measured 5e-12 to 2e-10)
+    p = profile_fd_focusing(2.0, grid(20.0, 0.005), boundary_tol=1e-8)
+    ks = np.array([-2.1, -0.6, 0.0, 0.8, 1.7])
+    s = scattering_batch(p, Coupling(1j * g), ks, IntegratorConfig())
+    b = np.array([ab_finite_focusing(k, g, 1.5)[1] for k in ks])
+    assert np.max(np.abs(s[:, 0, 1] - b)) < 1e-9
 
 
 def test_params_validation():

@@ -3,9 +3,11 @@ import pytest
 
 from nlsquench.core import (
     BoundaryMismatch,
+    ConfigError,
     Coupling,
     DiscreteEigenvalue,
     EmptyGrid,
+    FieldProfile,
     FiniteDensity,
     InvalidCoupling,
     KGrid,
@@ -17,6 +19,7 @@ from nlsquench.core import (
     make_profile,
     trapezoid_weights,
 )
+from nlsquench.zsdirect import BranchPoint, reflection
 
 
 def test_regime_tags():
@@ -215,6 +218,42 @@ def test_finite_density_serialization():
     back = FieldProfile.from_json_dict(p.to_json_dict())
     assert isinstance(back.asymptotics, FiniteDensity)
     assert back.asymptotics.rho == 1.0
+    # a phase jump: the read-back profile equals the written one
+    p = make_profile(1.3 * np.exp(1j * 1.94 * (1 + np.tanh(x)) / 2), 10.0,
+                     FiniteDensity(rho=1.3, theta=1.94), boundary_tol=1e-6)
+    back = FieldProfile.from_json_dict(p.to_json_dict())
+    assert (back.L, back.h, back.asymptotics) == (p.L, p.h, p.asymptotics)
+    assert np.array_equal(back.values, p.values)
+
+
+@pytest.mark.parametrize("gapped", [False, True], ids=["ungapped", "gapped"])
+@pytest.mark.parametrize("norming", [None, 0.3 - 1.2j], ids=["bare", "normed"])
+def test_scattering_data_round_trip(gapped, norming):
+    # the gap used to be dropped, so read-back data interpolated across it
+    c = Coupling(1.5 if gapped else 1j)
+    kg = make_kgrid(c, FiniteDensity(rho=1.0, theta=1.94) if gapped else Schwartz(), 4.0, 40)
+    k = kg.samples
+    sd = ScatteringData(kgrid=kg, a=np.exp(0.1j * k), b=0.01 * np.exp(-k ** 2) + 0j,
+                        discrete=(DiscreteEigenvalue(0.2 + 0.5j, norming=norming),), coupling=c)
+    back = ScatteringData.from_json_dict(sd.to_json_dict())
+    assert np.array_equal(back.kgrid.samples, k) and back.kgrid.gap == kg.gap
+    assert np.array_equal(back.a, sd.a) and np.array_equal(back.b, sd.b)
+    assert (back.discrete, back.coupling) == (sd.discrete, sd.coupling)
+    if gapped:
+        for data in (sd, back):
+            with pytest.raises(BranchPoint):
+                reflection(data, 0.0)
+
+
+def test_input_errors_are_package_errors():
+    # library callers catch every malformed document as an NlsQuenchError
+    assert issubclass(ConfigError, NlsQuenchError)
+    with pytest.raises(NlsQuenchError, match="coupling is required"):
+        ScatteringData.from_json_dict({k: v for k, v in _toy_data().to_json_dict().items()
+                                       if k != "coupling"})
+    with pytest.raises(NlsQuenchError, match="profile: asymptotics must be a JSON object"):
+        FieldProfile.from_json_dict({"L": 1.0, "h": 0.1, "asymptotics": "schwartz",
+                                     "re": [0.0], "im": [0.0]})
 
 
 def test_non_finite_samples_rejected():
