@@ -49,7 +49,7 @@ def _list(value) -> list:
 
 
 def _floats(value) -> np.ndarray:
-    if not all(isinstance(v, (int, float)) for v in _list(value)):
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in _list(value)):
         raise TypeError("must be a list of numbers")
     return np.asarray(value, dtype=float)
 
@@ -314,8 +314,8 @@ class KGrid:
             raise NlsQuenchError("spectral samples must be strictly increasing")
         if self.gap is not None:
             lo, hi = self.gap
-            if ((s > lo) & (s < hi)).any():
-                raise NlsQuenchError("spectral sample inside the forbidden gap")
+            if not (np.isfinite(self.gap).all() and lo < hi) or ((s > lo) & (s < hi)).any():
+                raise NlsQuenchError(f"gap {self.gap}: non-finite, reversed or holding a sample")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 

@@ -626,7 +626,7 @@ def _mutations(kind, doc):
             value = value[key]
         if not isinstance(path[-1], int) and _dotted(path) not in _OPTIONAL:
             out.append((kind, path, _REMOVE))
-        out += [(kind, path, bad) for bad in (None, "x", ["x"], {"x": 1})]
+        out += [(kind, path, bad) for bad in (None, "x", ["x"], [True], {"x": 1})]
         if not isinstance(value, (int, float)):
             out.append((kind, path, 1.5))
     return out
@@ -684,6 +684,18 @@ def test_input_documents_are_valid(tmp_path, capsys):
     assert FieldProfile.from_json_dict(_PROFILE_DOC).to_json_dict() == _PROFILE_DOC
     assert DarbouxStep.from_json_dict(_STEPS_DOC["steps"][0]).to_json_dict() \
         == _STEPS_DOC["steps"][0]
+
+
+@pytest.mark.parametrize("gap", [[0.5, -0.5], [float("nan")] * 2], ids=["reversed", "nan"])
+def test_malformed_data_gap_exit_two(tmp_path, capsys, gap):
+    # the grid refuses a gap that is not a finite interval, as it refuses
+    # non-finite or unsorted samples
+    command, cfg = _input_run(tmp_path, "data", dict(_DATA_DOC, gap=gap))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, "--config", _write(tmp_path, "cfg.json", cfg), "--out", str(out)]) == 2
+    assert "gap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

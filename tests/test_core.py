@@ -245,6 +245,14 @@ def test_scattering_data_round_trip(gapped, norming):
                 reflection(data, 0.0)
 
 
+@pytest.mark.parametrize("gap", [(0.5, -0.5), (np.nan, np.nan), (-np.inf, 0.5)])
+def test_malformed_gap_rejected(gap):
+    # a reversed or non-finite gap used to pass, so reflection on read-back
+    # data interpolated across k = 0 instead of raising BranchPoint
+    with pytest.raises(NlsQuenchError, match="gap"):
+        KGrid(np.array([-2.0, -1.0, 1.0, 2.0]), gap=gap)
+
+
 def test_input_errors_are_package_errors():
     # library callers catch every malformed document as an NlsQuenchError
     assert issubclass(ConfigError, NlsQuenchError)
