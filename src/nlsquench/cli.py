@@ -34,6 +34,7 @@ from .core import (
     NlsQuenchError,
     ScatteringData,
     Schwartz,
+    _number,
     dump_json,
     load_json,
     make_kgrid,
@@ -42,7 +43,8 @@ from .core import (
 from .darboux import DarbouxStep, apply_bt, dual_quench
 from .glm import radiative_part, reconstruct_field
 from .oracle import StepperConfig, evolve_snapshots, isospectral_check
-from .quench import _factorization, classify_post_quench, quench_map, verify_factorization
+from .quench import (_factorization, classify_post_quench, evolve_data, quench_map,
+                     verify_factorization)
 from .zsdirect import IntegratorConfig, find_zeros, scatter_grid
 
 __version__ = "0.1.0"
@@ -151,7 +153,7 @@ def cmd_quench(cfg):
 def cmd_zeros(cfg):
     p = _build_profile(cfg)
     c = _coupling(cfg, "coupling")
-    region = cfg("region", cast=lambda v: tuple(float(x) for x in v))
+    region = cfg("region", cast=lambda v: tuple(_number(x) for x in v))
     icfg = _integrator(cfg)
     if len(region) != 4:
         raise ConfigError("region must be [re_min, re_max, im_min, im_max]")
@@ -191,8 +193,9 @@ def cmd_reconstruct(cfg):
             "the data carries bound states and the reconstruction handles the radiative "
             "sector only; run darboux with a 'dual' block on the field instead"
         )
-    field = reconstruct_field(radiative_part(sd), sd.coupling if c0 is None else c0,
-                              np.linspace(-L, L, n), t=t, boundary_tol=tol)
+    field = reconstruct_field(radiative_part(evolve_data(sd, t)),
+                              sd.coupling if c0 is None else c0,
+                              np.linspace(-L, L, n), boundary_tol=tol)
     return {"field.json": field.to_json_dict(), "field.csv": _profile_csv(field)}, []
 
 

@@ -48,6 +48,27 @@ def _list(value) -> list:
     return value
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("must be a number, not a boolean")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if not _number(value).is_integer():
+        raise ValueError(f"must be an integer, not {value!r}")
+    return int(_number(value))
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, not {value!r}")
+    return value
+
+
+_JSON_CASTS = {float: _number, int: _integer, bool: _flag}
+
+
 def _floats(value) -> np.ndarray:
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in _list(value)):
         raise TypeError("must be a list of numbers")
@@ -62,9 +83,11 @@ def _interval(value) -> Tuple[float, float]:
 class JsonReader:
     """One JSON object of an input document, named by its dotted key ("" at
     the top) within the document doc ("" for the run config).  A read casts
-    the value and raises ConfigError naming the document and key for a null,
-    a value the cast refuses or a block that is not an object; an absent key
-    takes the default."""
+    the value (float takes a number or a string holding one, never a
+    boolean; int a number with no fractional part; bool only true or false)
+    and raises ConfigError naming the document and key for a null, a value
+    the cast refuses or a block that is not an object; an absent key takes
+    the default."""
 
     def __init__(self, data, name="", doc=""):
         self.data, self.doc, self.prefix = data, doc, f"{name}." if name else ""
@@ -87,7 +110,7 @@ class JsonReader:
         if value is None:
             raise self.error(key, " is null" if key in self else " is required")
         try:
-            return cast(value)
+            return _JSON_CASTS.get(cast, cast)(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise self.error(key, f": {exc}") from exc
 
@@ -100,6 +123,13 @@ class JsonReader:
         """parse(item, name, doc) of every item of the list at key."""
         items = self(key, default, _list)
         return [parse(v, f"{self.prefix}{key}[{i}]", self.doc) for i, v in enumerate(items)]
+
+    def complex_samples(self, re_key, im_key) -> np.ndarray:
+        """re + i im from the number lists at re_key and im_key, of one length."""
+        re, im = self(re_key, cast=_floats), self(im_key, cast=_floats)
+        if len(re) != len(im):
+            raise self.error(re_key, f" and {im_key} have {len(re)} and {len(im)} entries")
+        return re + 1j * im
 
     def complex(self, key=None, part=_REQUIRED) -> complex:
         """The {"re", "im"} value at key (this object itself when key is
@@ -260,8 +290,8 @@ class FieldProfile:
             asymptotics = FiniteDensity(rho=spec("rho"), theta=spec("theta"))
         else:
             raise spec.error("kind", f" {kind!r} is not 'schwartz' or 'finite_density'")
-        values = r("re", cast=_floats) + 1j * r("im", cast=_floats)
-        return FieldProfile(L=r("L"), h=r("h"), values=values, asymptotics=asymptotics)
+        return FieldProfile(L=r("L"), h=r("h"), values=r.complex_samples("re", "im"),
+                            asymptotics=asymptotics)
 
 
 def make_profile(
@@ -353,27 +383,11 @@ def make_kgrid(c: Coupling, asymptotics: Asymptotics, k_max: float, n: int) -> K
 
 
 def trapezoid_weights(k: np.ndarray) -> np.ndarray:
-    """Trapezoid quadrature weights for a sorted grid.
-
-    Spacing jumps larger than three times the median spacing are treated as
-    segment boundaries (the forbidden interval of a gapped grid), so the
-    rule never integrates across the gap.
-    """
-    k = np.asarray(k, dtype=float)
+    """Trapezoid quadrature weights for a sorted grid of one segment."""
     d = np.diff(k)
-    med = np.median(d)
-    breaks = np.nonzero(d > 3.0 * med)[0]
-    w = np.zeros_like(k)
-    start = 0
-    for b in list(breaks) + [len(k) - 1]:
-        seg = slice(start, b + 1)
-        ks = k[seg]
-        if len(ks) >= 2:
-            ws = np.zeros(len(ks))
-            ws[1:] += 0.5 * np.diff(ks)
-            ws[:-1] += 0.5 * np.diff(ks)
-            w[seg] = ws
-        start = b + 1
+    w = np.zeros(len(k))
+    w[1:] += 0.5 * d
+    w[:-1] += 0.5 * d
     return w
 
 
@@ -476,8 +490,8 @@ class ScatteringData:
         r = JsonReader(d, doc=doc)
         return ScatteringData(
             kgrid=KGrid(r("k", cast=_floats), gap=r("gap", None, _interval)),
-            a=r("a_re", cast=_floats) + 1j * r("a_im", cast=_floats),
-            b=r("b_re", cast=_floats) + 1j * r("b_im", cast=_floats),
+            a=r.complex_samples("a_re", "a_im"),
+            b=r.complex_samples("b_re", "b_im"),
             discrete=r.each("zeros", DiscreteEigenvalue.from_json_dict, ()),
             coupling=Coupling(r.complex("coupling")),
         )
@@ -506,5 +520,9 @@ def dump_json(obj, path):
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    """The JSON document at path; ConfigError naming it if not UTF-8 JSON."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -12,7 +12,7 @@ stepper; see the regression tests):
 * rho(k) = b(k)/a(k) with b the (1,2) entry of the numerical S-matrix;
 * the Born term is  q(x) = -(2/c) * integral dk/(2 pi) rho(k) e^{-2ikx},
   and every higher term carries the same overall factor;
-* time enters only through the data phase rho(k, t) = e^{-4ik^2 t} rho(k).
+* time enters only through the data, evolved by quench.evolve_data.
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ _UNIFORM_TOL = 1e-9
 
 
 class _ToeplitzKernel:
-    """Gauge-reduced (c/c*) O-star O of the data rd at coupling c and time
-    t, applied to a block of x points at once.  With eps the k spacing dk, the discretised operators are
+    """Gauge-reduced (c/c*) O-star O of the data rd at coupling c, on a block
+    of x points at once.  With eps the k spacing dk, the operators are
 
     O      = diag(f*) T+ diag(rho w)   diag(f),  T+[i,j] = 1 / (2 pi i dk (j - i + i))
     O-star = diag(f)  T- diag(-rho* w) diag(f*), T-[i,j] = 1 / (2 pi i dk (j - i - i))
@@ -104,11 +104,10 @@ class _ToeplitzKernel:
     with f = e^{-ikx} and trapezoid weights w.  T+ and T- are Toeplitz, so
     each is applied as a circulant product (FFT length the power of two
     >= 2 N_k - 1) and no N_k x N_k matrix is formed.  Solving (1 - C) h = 1
-    and contracting with quad * f^2 * h gives the field; time is carried
-    entirely by the data phase e^{-4ik^2 t} on rho.
+    and contracting with quad * f^2 * h gives the field.
     """
 
-    def __init__(self, rd: RadiativeData, c: Coupling, t: float):
+    def __init__(self, rd: RadiativeData, c: Coupling):
         k = rd.kgrid.samples
         steps = np.diff(k)
         dk = float(np.median(steps))
@@ -128,11 +127,10 @@ class _ToeplitzKernel:
         self.sym_plus = np.fft.fft(1.0 / (2j * np.pi * dk * (lag + 1j)))
         self.sym_minus = np.fft.fft(1.0 / (2j * np.pi * dk * (lag - 1j)))
         w = trapezoid_weights(k)
-        phase_t = np.exp(-4j * k ** 2 * t) if t else np.ones_like(k)
-        self.d_plus = rd.rho * w * phase_t
-        self.d_minus = -np.conj(rd.rho) * w * np.conj(phase_t)
+        self.d_plus = rd.rho * w
+        self.d_minus = -np.conj(rd.rho) * w
         self.sign = 1.0 if c.regime != "focusing" else -1.0  # c/c*
-        self.quad = w * rd.rho * phase_t / (2.0 * np.pi)
+        self.quad = w * rd.rho / (2.0 * np.pi)
         self.scale = -2.0 / c.value    # Born factor of every term
 
     def phases(self, xs: np.ndarray) -> np.ndarray:
@@ -262,16 +260,15 @@ def _gmres_block(op: _ToeplitzKernel, f2: np.ndarray) -> np.ndarray:
     return sum(y[:, i, None] * basis[i] for i in range(size))
 
 
-def _field_values(rd: RadiativeData, c0: Coupling, xs, t: float,
-                  method: str) -> np.ndarray:
-    """q(x, t) at every x of xs by the chosen route, in blocks of
+def _field_values(rd: RadiativeData, c0: Coupling, xs, method: str) -> np.ndarray:
+    """q(x) at every x of xs by the chosen route, in blocks of
     max(1, zsdirect._CHUNK // N_k) x points; the split depends only on the
     two sizes, so results are reproducible."""
     if method not in ("resolvent", "neumann"):
         raise NlsQuenchError("method must be 'resolvent' or 'neumann'")
     if c0.value == 0:
         raise NlsQuenchError("the reconstruction needs a nonzero coupling (Born factor -2/c)")
-    op = _ToeplitzKernel(rd, c0, t)
+    op = _ToeplitzKernel(rd, c0)
     xs = np.asarray(xs, dtype=float)
     per = max(1, zsdirect._CHUNK // rd.kgrid.n)
     vals = np.empty(len(xs), dtype=np.complex128)
@@ -284,22 +281,22 @@ def _field_values(rd: RadiativeData, c0: Coupling, xs, t: float,
     return vals
 
 
-def glm_neumann(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0) -> complex:
-    """q(x, t) by the iterated-kernel sum at one point: the batched Neumann
+def glm_neumann(rd: RadiativeData, c0: Coupling, x: float) -> complex:
+    """q(x) by the iterated-kernel sum at one point: the batched Neumann
     route of reconstruct_field on a one-point x array (see _neumann_block
     for its stopping and divergence rules)."""
-    return complex(_field_values(rd, c0, [x], t, "neumann")[0])
+    return complex(_field_values(rd, c0, [x], "neumann")[0])
 
 
-def rosales_resummed(rd: RadiativeData, c0: Coupling, x: float, t: float = 0.0) -> complex:
-    """q(x, t) by solving (1 - (c/c*) O-star O) h = f at one point: the
+def rosales_resummed(rd: RadiativeData, c0: Coupling, x: float) -> complex:
+    """q(x) by solving (1 - (c/c*) O-star O) h = f at one point: the
     batched GMRES route of reconstruct_field on a one-point x array, under
     the same convergence and conditioning guard."""
-    return complex(_field_values(rd, c0, [x], t, "resolvent")[0])
+    return complex(_field_values(rd, c0, [x], "resolvent")[0])
 
 
 def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
-                      t: float = 0.0, boundary_tol: float = 1e-2, method: str = "resolvent") -> FieldProfile:
+                      boundary_tol: float = 1e-2, method: str = "resolvent") -> FieldProfile:
     """Radiative field on a symmetric grid.  method="resolvent" solves the
     resolvent equation for every x at once by batched GMRES on the
     FFT-applied Toeplitz kernel and raises SingularResolvent under the
@@ -310,7 +307,7 @@ def reconstruct_field(rd: RadiativeData, c0: Coupling, xgrid: np.ndarray,
     xgrid = np.asarray(xgrid, dtype=float)
     if len(xgrid) < 16:
         raise NlsQuenchError("reconstruction grid needs at least 16 points")
-    vals = _field_values(rd, c0, xgrid, t, method)
+    vals = _field_values(rd, c0, xgrid, method)
     return FieldProfile(L=-float(xgrid[0]), h=float(xgrid[1] - xgrid[0]),
                         values=vals, asymptotics=Schwartz(),
                         boundary_tol=boundary_tol).validate()

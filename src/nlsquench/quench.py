@@ -8,7 +8,7 @@ against an independently computed S', never used to construct it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -41,6 +41,7 @@ from .zsdirect import (
     _real_samples,
     _rk4_terms,
     _stages,
+    _table_rows,
     _working_samples,
     scatter_grid,
     scattering_batch,
@@ -64,20 +65,14 @@ def quench_map(p: FieldProfile, c: Coupling, c_new: Coupling, kgrid: KGrid,
 
 
 def evolve_data(sd: ScatteringData, t: float) -> ScatteringData:
-    """Push scattering data forward in time: a is frozen and b picks up the
-    phase e^{-4ik^2 t} (the phase measured when the evolved field is
-    re-scattered; norming constants follow the same rule continued to the
-    zero).  Discrete positions do not move."""
-    k = sd.kgrid.samples
-    b_new = sd.b * np.exp(-4j * k ** 2 * t)
-    discrete = tuple(
-        type(z)(position=z.position, order=z.order,
-                norming=None if z.norming is None
-                else z.norming * np.exp(-4j * z.position ** 2 * t))
-        for z in sd.discrete
-    )
-    return ScatteringData(kgrid=sd.kgrid, a=sd.a, b=b_new,
-                          discrete=discrete, coupling=sd.coupling)
+    """Push scattering data forward in time (the package's one time law): a
+    is frozen and b picks up the phase e^{-4ik^2 t} (the phase measured when
+    the evolved field is re-scattered; norming constants follow the same
+    rule continued to the zero).  Discrete positions do not move."""
+    discrete = tuple(z if z.norming is None
+                     else replace(z, norming=z.norming * np.exp(-4j * z.position ** 2 * t))
+                     for z in sd.discrete)
+    return replace(sd, b=sd.b * np.exp(-4j * sd.kgrid.samples ** 2 * t), discrete=discrete)
 
 
 @dataclass(frozen=True)
@@ -187,30 +182,24 @@ def _theta_steps(c: Coupling, dc: complex, q, s: float):
     return [_lsum(*c) for c in _rk4_terms(g, s, _SU2)]
 
 
-# windows of _theta_table: P and det P in u^-2 .. u^2, P C_m in u^-4 .. u^6
-_THETA_P, _THETA_LO, _THETA_WIDTH = 2, -4, 11
+# window of _theta_table: P C_m in u^-4 .. u^6
+_THETA_LO, _THETA_WIDTH = -4, 11
 
 
-def _theta_table(c: Coupling, dc: complex, q, p_rows: np.ndarray, s: float):
-    """k-independent first rows of the factors of Theta's telescoped steps
-    (see _theta_pass) for the steps whose (start, middle, end) field values
-    are q and whose Phi steps P_j have the _decay_table rows p_rows, each in
-    the gauge of its step's first node.  Returns (p, coef): p (3, steps,
-    2 _THETA_P + 1) holds alpha - 1, beta and det P - 1 = |alpha|^2 +
-    |beta|^2 - 1 in u^-_THETA_P .. u^_THETA_P, coef (4, 2, steps,
-    _THETA_WIDTH) alpha and beta of P C_m, m = 1..4, from u^_THETA_LO."""
-    a, b = (0, p_rows[:, 0].T), (0, p_rows[:, 1].T)
-    # det P - 1 = a + a* + a a* + b b* with alpha = 1 + a
-    det = _ladd((1.0, a), (1.0, _lconj(a)), (1.0, a, _lconj(a)), (1.0, b, _lconj(b)))
-    p = np.array([_lwindow(e, -_THETA_P, 2 * _THETA_P + 1, len(p_rows)).T for e in (a, b, det)])
-    a = _ladd((1.0, a), (1.0, (0, np.ones((1, len(p_rows))))))  # alpha = 1 + a
+def _theta_table(c: Coupling, dc: complex, q, p_rows: np.ndarray, s: float) -> np.ndarray:
+    """k-independent first rows (4, 2, steps, _THETA_WIDTH) of P_j C_{j,m},
+    m = 1..4, of Theta's telescoped steps (see _theta_pass) whose (start,
+    middle, end) field values are q and whose Phi steps P_j have the
+    _decay_table rows p_rows, each in the gauge of its first node."""
+    a = _ladd((1.0, (0, p_rows[:, 0].T)), (1.0, (0, np.ones((1, len(p_rows))))))  # alpha
+    b = (0, p_rows[:, 1].T)
     coef = np.zeros((4, 2, len(p_rows), _THETA_WIDTH), dtype=np.complex128)
     cs = _theta_steps(c, dc, q, s)
     for i in range(4):
         for r, e in enumerate(_lmul((a, b), cs[i], _SU2)):
             coef[i, r] = _lwindow(e, _THETA_LO, _THETA_WIDTH, len(p_rows)).T
         cs[i] = None  # freed once multiplied, to bound the block's memory
-    return p, coef
+    return coef
 
 
 def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
@@ -231,16 +220,16 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     factors telescope:
         Theta_n = Phi_n^-1 R_{n-1} ... R_0,  R_j = P_j + sum_m delta_j^m P_j C_{j,m}.
     Relative to its first node every factor is a Laurent polynomial in u =
-    e^{iks} with profile-only coefficients (_theta_table, built in blocks
-    of _THETA_BLOCK steps); the C_m are the graded terms of
-    zsdirect._rk4_terms, the expansion behind every step table.  A chunk
-    evaluates them with one product per factor, takes delta_j as the
-    running product of det P_j, sums R_j by Horner in delta_j and turns
-    beta by the row phase e^{2ikx_j}.  The steps of Phi and of the
-    R-product are carried side by side, entries (steps, 2, nk), so both
-    products take the same tree/scan order: at c' = c, R = P bit for bit
-    and Theta = I to the ulp.  Phi_n^-1 = Phi_n^dag / (|alpha_n|^2 +
-    |beta_n|^2).  Theta keeps its own generator; only the rounding order
+    e^{iks} with profile-only coefficients: P_j from Phi's _decay_table,
+    P_j C_{j,m} from _theta_table (in blocks of _THETA_BLOCK steps), the
+    C_m the graded terms of zsdirect._rk4_terms.  A chunk evaluates them
+    with one product per factor, takes delta_j as the running product of
+    det P_j = |alpha_j|^2 + |beta_j|^2, sums R_j by Horner in delta_j and
+    turns beta by the row phases of zsdirect._row_steps.  The steps of Phi
+    and of the R-product are carried side by side, entries (steps, 2, nk),
+    so both products take the same tree/scan order: at c' = c, R = P bit
+    for bit and Theta = I to the ulp.  Phi_n^-1 = Phi_n^dag / (|alpha_n|^2
+    + |beta_n|^2).  Theta keeps its own generator; only the rounding order
     differs from the step-by-step loop.
 
     direction=+1 integrates upward from the left end (Theta_-);
@@ -261,14 +250,15 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
     s = direction * h
     q = _stages(q_nodes, q_mids, start, direction, 0, n - 1)
     phi_table = _decay_table(c, q, xs[start + direction * np.arange(n - 1)], s)
-    _, phases = _decay_steps(phi_table, k)
     # a chunk holds about four times the arrays of a transfer step, so its
     # chunks are a quarter as long; blocks are whole chunks.  nk alone
     # fixes both sizes, which keeps runs bit-identical
     per = min(_chunk_steps(4 * nk), _THETA_BLOCK)
     block = per * (_THETA_BLOCK // per)
     powers = np.exp(1j * s * np.multiply.outer(np.arange(_THETA_WIDTH) + _THETA_LO, k))
-    powers_p = powers[-_THETA_P - _THETA_LO:_THETA_P + 1 - _THETA_LO]
+    # Phi's steps P_j from its table, on u^0 .. u^2, and their row phases
+    phi_rows = _table_rows(phi_table.coef, powers[-_THETA_LO:3 - _THETA_LO])
+    _, phases = _decay_steps(phi_table, k)
     table, delta = None, np.ones(nk)
 
     def build(i0, i1):
@@ -277,24 +267,23 @@ def _theta_pass(p: FieldProfile, c: Coupling, c_new: Coupling, k: np.ndarray,
             b1 = min(i0 + block, n - 1)
             table = _theta_table(c, dc, tuple(v[i0:b1] for v in q), phi_table.coef[i0:b1], s)
         m, j = i1 - i0, i0 % block
-        # P_j, and delta_j = det Phi_j as the running product of det P_j
-        p = np.matmul(table[0][:, j:j + m], powers_p)
-        p[0] += 1.0
-        det = p[2].real + 1.0
+        out = np.empty((2, m, 2, nk), dtype=np.complex128)  # (entry, step, Phi | R, k)
+        p = out[:, :, 0]
+        p[0], p[1] = phi_rows(i0, i1)
+        # delta_j = det Phi_j as the running product of det P_j = |alpha|^2 + |beta|^2
+        det = p[0].real ** 2 + p[0].imag ** 2 + p[1].real ** 2 + p[1].imag ** 2
         d = np.empty((m, nk))
         d[0] = delta
         np.cumprod(det[:-1], axis=0, out=d[1:])
         d[1:] *= delta
         delta = d[-1] * det[-1]
         # R_j = P_j + sum_m delta_j^m P_j C_{j,m}, by Horner in delta_j
-        acc = np.matmul(table[1][3, :, j:j + m], powers)
+        acc = np.matmul(table[3, :, j:j + m], powers)
         acc *= d
         for i in (2, 1, 0):
-            acc += np.matmul(table[1][i, :, j:j + m], powers)
+            acc += np.matmul(table[i, :, j:j + m], powers)
             acc *= d
-        out = np.empty((2, m, 2, nk), dtype=np.complex128)  # (entry, step, Phi | R, k)
-        out[:, :, 0] = p[:2]
-        np.add(p[:2], acc, out=out[:, :, 1])
+        np.add(p, acc, out=out[:, :, 1])
         out[1] *= phases(i0, i1)[:, None]
         return out[0], out[1]
 

@@ -330,28 +330,24 @@ def _propagate(build, nsteps: int, nk, y=None, record=None, per=None, sigma=None
     return y, out
 
 
-def _frame_steps(d1, d2, a, b, mu, x, s: float):
-    """RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B) D(x)^{-1} Y, with
-    D(x) = diag(e^{i mu x}, e^{-i mu x}), from the nodes x (one per step),
-    on a finite-density background.  d1, d2 hold the (start, middle, end)
-    stage values of every step; A, B are per-k entry tuples with A^2 = B^2
-    = 0 and AB + BA = I, so a stage generator G_i squares to d1_i d2_i I.
-    By Cayley-Hamilton, with delta = d1 d2 at the middle, the step is
-    exactly I + s^2 delta/6 I + (s/6)(1 + s^2 delta/2)(G_1 + G_3) + (2s/3)
-    G_2 + (s^2/6)(G_2 G_1 + G_3 G_2) + (s^4 delta/24) G_3 G_1: 19 per-step
-    scalars, tabulated once, times per-k matrices.  A chunk is one BLAS
-    product, with I added after it so that the product sums only the O(s)
-    terms.  The phases e^{2i mu x_j} are one exact exp per chunk times a
-    ramp table e^{2i mu s m}; a rotation folded from step to step would
-    accumulate rounding with the step count.
+def _frame_steps(d1, d2, a, b, mu, s: float):
+    """Step table of the RK4 steps of size s of Y' = D(x) (d1(x) A + d2(x) B)
+    D(x)^{-1} Y, with D(x) = diag(e^{i mu x}, e^{-i mu x}), on a
+    finite-density background, each step in the gauge of its first node.
+    d1, d2 hold the (start, middle, end) stage values of every step; A, B
+    are per-k entry tuples with A^2 = B^2 = 0 and AB + BA = I, so a stage
+    generator G_i squares to d1_i d2_i I.  By Cayley-Hamilton, with delta =
+    d1 d2 at the middle, the step is exactly I + s^2 delta/6 I + (s/6)(1 +
+    s^2 delta/2)(G_1 + G_3) + (2s/3) G_2 + (s^2/6)(G_2 G_1 + G_3 G_2) +
+    (s^4 delta/24) G_3 G_1: 19 per-step scalars times per-k matrices.
 
     Every caller has real mu and s, d2 = sigma d1* at every stage, and A, B
     with d1 A + d2 B in the algebra of _mul's sigma form (A = P^{-1} e12 P,
     B = P^{-1} e21 P with P in the algebra), so the steps lie in it too and
     only their first rows are tabulated.
 
-    Returns steps(i0, i1), the first-row step-matrix entries of steps
-    i0..i1-1, each (i1 - i0, nk), for chunks of _chunk_steps(nk) steps."""
+    Returns the table (coef, basis) for _row_steps: the per-step scalars
+    (steps, 1, 19) and the first rows of the per-k matrices (19, 2, nk)."""
     nk = len(mu)
     u = np.exp(1j * mu * s)
     with _unchecked():
@@ -371,21 +367,9 @@ def _frame_steps(d1, d2, a, b, mu, x, s: float):
                 for dr, mr in zip(*gens[right]):
                     coef.append(w * dl * dr)
                     basis.append(_mul(ml, mr))
-        coef = np.stack(coef, axis=1)  # (steps, 19)
-        basis = np.array([[np.broadcast_to(e, (nk,)) for e in m[:2]] for m in basis],
-                         dtype=np.complex128).reshape(len(basis), 2 * nk)
-        span = np.arange(min(_chunk_steps(nk), len(x)))
-        ramp = np.exp(2j * np.multiply.outer(s * span, mu))
-
-    def steps(i0, i1):
-        n = i1 - i0
-        m = (coef[i0:i1] @ basis).reshape(n, 2, nk)
-        m[:, 0] += 1.0
-        m[:, 1] *= ramp[:n]
-        m[:, 1] *= np.exp(2j * mu * x[i0])
-        return m[:, 0], m[:, 1]
-
-    return steps
+    return (np.stack(coef, axis=1)[:, None],
+            np.array([[np.broadcast_to(e, (nk,)) for e in m[:2]] for m in basis],
+                     dtype=np.complex128))
 
 
 def _phased(m, e):
@@ -530,11 +514,13 @@ def _fuse(m, levels: int, sigma=None):
 def _table_rows(coef: np.ndarray, powers: np.ndarray):
     """rows(i0, i1) for _propagate: the entries of rows i0..i1-1 of a step
     table of M - I, coef (rows, entries, ncoef), at the points whose powers
-    of the table variable are powers (ncoef, nk), each (i1 - i0, nk), from
-    one (entries rows x coefficients) @ (coefficients x nk) product.  I is
+    of the table variable are powers (ncoef, nk), or (ncoef, 2, nk) for one
+    entry on a per-point basis, each (i1 - i0, nk), from one product.  I is
     added after it: entries 0 and 3 of four, entry 0 of a first row."""
+    nk, flat = powers.shape[-1], powers.reshape(len(powers), -1)
+
     def rows(i0, i1):
-        m = (coef[i0:i1].reshape(-1, coef.shape[2]) @ powers).reshape(i1 - i0, -1, len(powers[0]))
+        m = (coef[i0:i1].reshape(-1, coef.shape[2]) @ flat).reshape(i1 - i0, -1, nk)
         m[:, ::3] += 1.0
         return tuple(m.transpose(1, 0, 2))
 
@@ -580,22 +566,22 @@ def _decay_table(c: Coupling, q, x: np.ndarray, s: float, levels: int = 0) -> _D
 _PHASE_ROWS = 16
 
 
-def _decay_steps(table: _DecayTable, k: np.ndarray):
-    """(steps, phases) of a table at real k (nk,).  steps(i0, i1) gives the
-    first-row entries of rows i0..i1-1, each (i1 - i0, nk), from one (2 rows
-    x coefficients) @ (coefficients x nk) product; phases(i0, i1) gives
-    e^{2ikx} at their first nodes: one exp at the first node of every block
-    of _PHASE_ROWS rows times a ramp table.  A ramp across a whole chunk
-    would carry the rounding of its argument, ~ |k| times the chunk's length
-    in x, into every phase of the chunk."""
-    nk = len(k)
-    powers = np.exp(1j * table.s * np.multiply.outer(np.arange(table.coef.shape[2]), k))
-    ramp = np.exp(2j * np.multiply.outer(table.stride * np.arange(_PHASE_ROWS), k))
+def _row_steps(coef, powers, x, stride: float, mu):
+    """(steps, phases) of a real-axis table of first rows in the gauges of
+    their first nodes x, rows stride apart (coef, powers as in _table_rows),
+    at real mu (nk,).  steps(i0, i1) gives rows i0..i1-1, each (i1 - i0,
+    nk), with beta turned by the row phase e^{2i mu x}; phases(i0, i1) gives
+    those phases: one exp at the first node of every block of _PHASE_ROWS
+    rows times a ramp table.  A ramp across a whole chunk would carry the
+    rounding of its argument, ~ |mu| times the chunk's length in x, into
+    every phase of the chunk."""
+    nk = len(mu)
+    ramp = np.exp(2j * np.multiply.outer(stride * np.arange(_PHASE_ROWS), mu))
 
     def turn(m, i0):
         """m (rows i0.., nk) times the row phases, in place."""
         n = len(m)
-        starts = np.exp(2j * np.multiply.outer(table.x[i0:i0 + n:_PHASE_ROWS], k))
+        starts = np.exp(2j * np.multiply.outer(x[i0:i0 + n:_PHASE_ROWS], mu))
         full = n - n % _PHASE_ROWS
         blocks = m[:full].reshape(-1, _PHASE_ROWS, nk)
         blocks *= ramp
@@ -604,7 +590,7 @@ def _decay_steps(table: _DecayTable, k: np.ndarray):
         m[full:] *= starts[full // _PHASE_ROWS:]
         return m
 
-    rows = _table_rows(table.coef, powers)
+    rows = _table_rows(coef, powers)
 
     def steps(i0, i1):
         alpha, beta = rows(i0, i1)
@@ -614,6 +600,12 @@ def _decay_steps(table: _DecayTable, k: np.ndarray):
         return turn(np.ones((i1 - i0, nk), dtype=np.complex128), i0)
 
     return steps, phases
+
+
+def _decay_steps(table: _DecayTable, k: np.ndarray):
+    """_row_steps of a rapidly decreasing table at real k, on powers of u."""
+    powers = np.exp(1j * table.s * np.multiply.outer(np.arange(table.coef.shape[2]), k))
+    return _row_steps(table.coef, powers, table.x, table.stride, k)
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +670,9 @@ def _transfer_pass(p: FieldProfile, c: Coupling, k: np.ndarray,
         d1 = (c.value * (q_nodes - q_left), c.value * (q_mids - q_left))
         d2 = (c.value * np.conj(q_nodes - q_left), c.value * np.conj(q_mids - q_left))
         e12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-        build = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
-                             _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu,
-                             x_steps, -h)
+        table = _frame_steps(_stages(*d1, j_hi, -1, 0, nsteps), _stages(*d2, j_hi, -1, 0, nsteps),
+                             _entries(pmi @ e12 @ pm), _entries(pmi @ e12.T @ pm), mu, -h)
+        build, _ = _row_steps(*table, x_steps, -h, mu.real)
         nrows = nsteps
 
     # on the right tail Psi+ equals its frame, so Y = E_-^{-1} E_+ there

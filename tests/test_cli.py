@@ -12,7 +12,11 @@ from nlsquench.darboux import DarbouxStep
 
 
 def _write(tmp_path, name, payload):
+    """payload as a JSON file, or written as it is when it is bytes."""
     path = tmp_path / name
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+        return str(path)
     with open(path, "w") as f:
         json.dump(payload, f)
     return str(path)
@@ -572,9 +576,62 @@ MALFORMED = (
        for cmd in _INTEGRATOR_READERS]
 )
 
+# the number keys each command reads (with the builtin gaussian; the other
+# builtins' keys under their own builtin), its integer keys, and its flags
+_PROFILE_KEYS = ["profile.L", "profile.n", "profile.amp", "profile.width", "profile.boundary_tol",
+                 "coupling.re", "coupling.im"]
+_NUMBER_KEYS = {
+    "scatter": _PROFILE_KEYS + ["kgrid.k_max", "kgrid.n", "integrator.step", "profile.A",
+                                "profile.V", "profile.phi0", "profile.x0", "profile.rho",
+                                "profile.theta", "profile.Z"],
+    "quench": _PROFILE_KEYS + ["coupling_new.re", "coupling_new.im", "kgrid.k_max", "kgrid.n"],
+    "zeros": _PROFILE_KEYS + ["integrator.step"],
+    "evolve": _PROFILE_KEYS + ["time", "snapshots", "stepper.dt", "stepper.n_modes"],
+    "reconstruct": ["coupling0.re", "coupling0.im", "xgrid.L", "xgrid.n", "time", "boundary_tol"],
+    "darboux": _PROFILE_KEYS + ["dual.coupling0.re", "dual.coupling0.im", "dual.kgrid.k_max",
+                                "dual.kgrid.n"],
+    "verify": _PROFILE_KEYS + ["coupling_new.im", "kgrid.n", "factorization.max_residual",
+                               "factorization.x_spread", "isospectral.time", "isospectral.amp_tol",
+                               "isospectral.phase_tol", "isospectral.stepper.dt",
+                               "isospectral.stepper.n_modes"],
+}
+_INTEGER_KEYS = [("scatter", "profile.n"), ("scatter", "kgrid.n"), ("evolve", "snapshots"),
+                 ("evolve", "stepper.n_modes"), ("reconstruct", "xgrid.n"),
+                 ("darboux", "dual.kgrid.n"), ("verify", "isospectral.stepper.n_modes")]
+_FLAGS = [("scatter", "find_discrete"), ("quench", "factorization"),
+          ("darboux", "dual.exact_rescale")]
+_BUILTIN_OF = {"A": "sech", "V": "sech", "phi0": "sech", "x0": "sech", "rho": "fd_dark",
+               "theta": "fd_dark", "Z": "fd_pedestal"}
 
-@pytest.mark.parametrize("command, change, key", MALFORMED,
-                         ids=[f"{c}-{k}" for c, _, k in MALFORMED])
+
+def _config_with(key, value):
+    """_MALFORMED_BASE with the dotted key set to value."""
+    cfg = json.loads(json.dumps(_MALFORMED_BASE))
+    if key.startswith("dual."):
+        cfg["dual"] = {"coupling0": {"re": 0.5}}
+    *blocks, last = key.split(".")
+    if blocks == ["profile"] and last in _BUILTIN_OF:
+        cfg["profile"]["builtin"] = _BUILTIN_OF[last]
+    block = cfg
+    for name in blocks:
+        block = block.setdefault(name, {})
+    block[last] = value
+    return cfg
+
+
+# a boolean at a number key, a fraction at an integer key and anything but
+# true or false at a flag used to be read as a value
+WRONG_TYPE = ([(cmd, key, True) for cmd, keys in _NUMBER_KEYS.items() for key in keys]
+              + [("zeros", "region", [True, 1.0, 0.05, 1.0])]
+              + [(cmd, key, 1.5) for cmd, key in _INTEGER_KEYS]
+              + [(cmd, key, bad) for cmd, key in _FLAGS for bad in ("false", 0, 1.5)])
+
+
+@pytest.mark.parametrize(
+    "command, change, key",
+    MALFORMED + [(cmd, _config_with(key, bad), key) for cmd, key, bad in WRONG_TYPE],
+    ids=[f"{c}-{k}" for c, _, k in MALFORMED]
+    + [f"{c}-{k}-{json.dumps(bad)}" for c, k, bad in WRONG_TYPE])
 def test_malformed_config_exit_one(tmp_path, capsys, command, change, key):
     # each used to escape main as an AttributeError or a TypeError; verify
     # with "factorization": true did so only after the whole Theta pass
@@ -627,8 +684,7 @@ def _mutations(kind, doc):
         if not isinstance(path[-1], int) and _dotted(path) not in _OPTIONAL:
             out.append((kind, path, _REMOVE))
         out += [(kind, path, bad) for bad in (None, "x", ["x"], [True], {"x": 1})]
-        if not isinstance(value, (int, float)):
-            out.append((kind, path, 1.5))
+        out.append((kind, path, True if isinstance(value, (int, float)) else 1.5))
     return out
 
 
@@ -639,8 +695,18 @@ _ESCAPED = [("profile", ("asymptotics",), "schwartz"), ("profile", (), [_PROFILE
             ("profile", ("asymptotics", "kind"), "dark"), ("data", ("coupling",), 5),
             ("data", ("zeros",), ["x"]), ("data", ("a_im",), _REMOVE),
             ("steps", ("steps", 0, "k0"), 0.5), ("steps", ("steps", 0, "mu"), _REMOVE)]
+# files that are not JSON or not UTF-8, (re, im) lists of unequal lengths
+# and a fractional order, which exited 1 naming neither file nor key, or ran
+_UNREADABLE = [("profile", (), b'{"L": 10'), ("data", (), b"\xff\xfe"),
+               ("profile", ("im",), [0.0] * 3), ("data", ("a_im",), [0.0] * 3),
+               ("data", ("b_re",), [0.0] * 5), ("data", ("zeros", 0, "order"), 1.5)]
 INPUT_MUTATIONS = (_ESCAPED + _mutations("profile", _PROFILE_DOC)
-                   + _mutations("data", _DATA_DOC) + _mutations("steps", _STEPS_DOC))
+                   + _mutations("data", _DATA_DOC) + _mutations("steps", _STEPS_DOC)
+                   + _UNREADABLE)
+
+
+def _label(new):
+    return repr(new) if isinstance(new, bytes) else json.dumps(new)[:12]
 
 
 def _mutated(doc, path, new):
@@ -700,8 +766,7 @@ def test_malformed_data_gap_exit_two(tmp_path, capsys, gap):
 
 @pytest.mark.parametrize(
     "kind, path, new", INPUT_MUTATIONS,
-    ids=[f"{kind}-{_dotted(path) or 'top'}-"
-         f"{'removed' if new is _REMOVE else json.dumps(new)[:12]}"
+    ids=[f"{kind}-{_dotted(path) or 'top'}-{'removed' if new is _REMOVE else _label(new)}"
          for kind, path, new in INPUT_MUTATIONS])
 def test_malformed_input_document_exit_one(tmp_path, capsys, kind, path, new):
     base = {"profile": _PROFILE_DOC, "data": _DATA_DOC, "steps": _STEPS_DOC}[kind]

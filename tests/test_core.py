@@ -144,15 +144,6 @@ def test_trapezoid_weights_plain():
     assert np.isclose(w[0], 0.05) and np.isclose(w[5], 0.1)
 
 
-def test_trapezoid_weights_gapped():
-    k = np.concatenate([np.linspace(-3, -1, 21), np.linspace(1, 3, 21)])
-    w = trapezoid_weights(k)
-    # integrates each segment separately: total length 4, not 6
-    assert np.isclose(np.sum(w), 4.0)
-    # exactness on a line, per segment
-    assert np.isclose(np.sum(w * k), 0.0, atol=1e-12)
-
-
 def test_discrete_eigenvalue_validation():
     DiscreteEigenvalue(position=0.3 + 0.2j)
     with pytest.raises(NlsQuenchError):

@@ -4,7 +4,8 @@ import pytest
 import glm_reference as ref
 from nlsquench import core, glm, zsdirect
 from nlsquench.closedforms import SolitonParamsFD, soliton_profile_fd_defocusing
-from nlsquench.core import Coupling, KGrid, NlsQuenchError, Schwartz, make_kgrid, make_profile
+from nlsquench.core import (Coupling, KGrid, NlsQuenchError, ScatteringData, Schwartz, make_kgrid,
+                            make_profile)
 from nlsquench.glm import (
     NonUniformGrid,
     RadiativeData,
@@ -15,6 +16,7 @@ from nlsquench.glm import (
     reconstruct_field,
     rosales_resummed,
 )
+from nlsquench.quench import evolve_data
 from nlsquench.zsdirect import IntegratorConfig, scatter_grid
 from conftest import grid
 
@@ -107,24 +109,6 @@ def test_neumann_equals_resolvent(gauss_data):
         assert abs(qn - qr) < 1e-6
 
 
-def test_evolved_data_same_formula_path(gauss_data):
-    from nlsquench.quench import evolve_data
-    from nlsquench.core import ScatteringData
-
-    p, c, rd = gauss_data
-    t = 0.4
-    # route 1: rotate the data, reconstruct at time zero
-    sd = ScatteringData(kgrid=rd.kgrid, a=np.ones(rd.kgrid.n, complex),
-                        b=rd.rho, coupling=c)
-    rho_t = evolve_data(sd, t).b
-    rd_t = RadiativeData(kgrid=rd.kgrid, rho=rho_t, coupling=c)
-    # route 2: pass t explicitly
-    for x in (0.0, 0.7):
-        q1 = rosales_resummed(rd_t, c, x, t=0.0)
-        q2 = rosales_resummed(rd, c, x, t=t)
-        assert abs(q1 - q2) < 1e-12
-
-
 def test_regime_flip_changes_result_beyond_rescaling(gauss_data):
     _, c, rd = gauss_data
     x = 0.6
@@ -206,12 +190,16 @@ def test_gmres_stall_raises(gauss_data, monkeypatch):
 @pytest.mark.parametrize("cv", [0.5, 0.5j])
 @pytest.mark.parametrize("t", [0.0, 0.4])
 def test_batched_routes_match_dense_reference(gauss_data, cv, t):
+    # the batched routes take data evolved by the package's time law, the
+    # dense reference applies e^{-4ik^2 t} itself
     _, _, rd = gauss_data
     c = Coupling(cv)
     xs = np.linspace(-4.0, 4.0, 33)
+    sd = ScatteringData(kgrid=rd.kgrid, a=np.ones(rd.kgrid.n), b=rd.rho, coupling=rd.coupling)
+    rd_t = radiative_part(evolve_data(sd, t))
     for method, want in (("resolvent", ref.resolvent(rd, c, xs, t)),
                          ("neumann", ref.neumann(rd, c, xs, 12, t))):
-        got = reconstruct_field(rd, c, xs, t=t, boundary_tol=1.0, method=method).values
+        got = reconstruct_field(rd_t, c, xs, boundary_tol=1.0, method=method).values
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -234,7 +222,7 @@ def test_chunk_edges_match_dense_reference(gauss_data, monkeypatch, budget, size
         xs = np.linspace(-2.5, 3.0, nx)
         for method, want in (("resolvent", ref.resolvent(rd, c, xs)),
                              ("neumann", ref.neumann(rd, c, xs, 12))):
-            got = glm._field_values(rd, c, xs, 0.0, method)
+            got = glm._field_values(rd, c, xs, method)
             assert np.max(np.abs(got - want)) <= 1e-12
 
 
